@@ -2,7 +2,9 @@
 
 Passive observers of the protocol invariants the paper takes for
 granted: Paxos agreement (§4.1), exclusive capability leases (§4.3.1),
-ZLog epoch fencing (§4.4), and single-owner subtree migration.  The
+ZLog epoch fencing (§4.4), and single-owner subtree migration — plus
+one guard for the OSD's own optimization: committed object versions
+share values, so none may change in place.  The
 daemons call tiny hook methods at the same places their telemetry
 counters already tick; each hook only reads state and appends to
 plain lists/dicts — no RNG draws, no scheduling, no messages — so a
@@ -57,7 +59,7 @@ class ProtocolViolation(AssertionError):
 
 
 class SanitizerRegistry:
-    """All four sanitizers plus shared violation reporting."""
+    """All five sanitizers plus shared violation reporting."""
 
     def __init__(self, sim: Any, raise_on_violation: bool = True):
         self.sim = sim
@@ -67,6 +69,7 @@ class SanitizerRegistry:
         self.caps = CapabilitySanitizer(self)
         self.zlog = ZLogEpochSanitizer(self)
         self.migration = MigrationSanitizer(self)
+        self.objects = ObjectAliasingSanitizer(self)
 
     # ------------------------------------------------------------------
     def report(self, sanitizer: str, invariant: str, message: str,
@@ -290,6 +293,41 @@ class MigrationSanitizer:
 
     def on_export_end(self, path: str, daemon: Any = None) -> None:
         self._active.pop(path, None)
+
+
+class ObjectAliasingSanitizer:
+    """Object versions share values; a base must never change in place.
+
+    The OSD builds each new object version as a shallow copy of the
+    fetched base plus the transaction's write set, so successive
+    versions share the data buffer and every untouched omap/xattr
+    value.  A class (or daemon code) that mutates a value it reached
+    through the base would silently rewrite every local version sharing
+    it (replicas hold their own copies).  The primary fingerprints the
+    base before applying an op list and re-checks it when the op
+    finishes.
+    """
+
+    def __init__(self, registry: SanitizerRegistry):
+        self.registry = registry
+        self.checks = 0
+
+    @staticmethod
+    def fingerprint(obj: Any) -> Optional[Tuple[int, str]]:
+        return None if obj is None else (obj.version, obj.digest())
+
+    def check(self, pool: str, oid: str, obj: Any,
+              before: Optional[Tuple[int, str]],
+              daemon: Any = None) -> None:
+        self.checks += 1
+        after = self.fingerprint(obj)
+        if after != before:
+            assert before is not None and after is not None
+            self.registry.report(
+                "objects", "base-immutable",
+                f"base version v{before[0]} of {pool}/{oid} changed in "
+                f"place during an op (digest {before[1][:12]} -> "
+                f"{after[1][:12]})", daemon=daemon)
 
 
 # ----------------------------------------------------------------------

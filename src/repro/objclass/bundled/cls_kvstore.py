@@ -29,7 +29,7 @@ def put(ctx: MethodContext, args: Dict[str, Any]) -> Dict[str, Any]:
 
     ``expect`` maps key -> required current value (absent key expected
     when the required value is None); any mismatch aborts the whole
-    batch with ESTALE — the method context's clone-and-commit protocol
+    batch with ESTALE — the method context's write-set transaction
     guarantees nothing partial lands.
     """
     expect: Dict[str, Any] = args.get("expect", {})

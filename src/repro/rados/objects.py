@@ -18,15 +18,64 @@ from repro.errors import InvalidArgument
 #: benchmarks from eating the host's memory.
 MAX_OBJECT_SIZE = 64 * 1024 * 1024
 
+#: Incarnation of objects no primary stamped (built directly, or
+#: decoded from state that predates incarnations).
+NO_INCARNATION: Tuple[float, int] = (0.0, 0)
+
+
+def read_bytes(buf: bytes, offset: int = 0,
+               length: Optional[int] = None) -> bytes:
+    """``length`` bytes of ``buf`` from ``offset`` (all when None)."""
+    if offset < 0:
+        raise InvalidArgument("negative read offset")
+    if length is None:
+        return bytes(buf[offset:])
+    if length < 0:
+        raise InvalidArgument("negative read length")
+    return bytes(buf[offset:offset + length])
+
+
+def write_bytes(buf: bytearray, offset: int, data: bytes) -> None:
+    """Overwrite ``buf`` at ``offset``, zero-filling any gap."""
+    if offset < 0:
+        raise InvalidArgument("negative write offset")
+    end = offset + len(data)
+    if end > MAX_OBJECT_SIZE:
+        raise InvalidArgument(f"object would exceed {MAX_OBJECT_SIZE}B")
+    if len(buf) < end:
+        buf.extend(b"\x00" * (end - len(buf)))
+    buf[offset:end] = data
+
+
+def truncate_bytes(buf: bytearray, size: int) -> None:
+    if size < 0:
+        raise InvalidArgument("negative truncate size")
+    if size < len(buf):
+        del buf[size:]
+    else:
+        buf.extend(b"\x00" * (size - len(buf)))
+
 
 class StoredObject:
     """One object replica's full state.
 
     ``version`` counts mutations (like Ceph's per-object version) and
-    is what scrub compares across replicas.
+    is what scrub compares across replicas.  It restarts at 0 when the
+    object is removed and re-created, so ``incarnation`` — ``(creation
+    time, creator's sequence number)``, stamped by the primary that
+    created this life of the object — orders lives, and ``stamp``
+    orders any two copies of one oid.
+
+    A *committed* object (one an object store holds) is immutable by
+    convention: successive versions share their ``data`` buffer and
+    omap/xattr values (see :func:`apply_write_set`), so nothing may
+    mutate them in place.  The mutators below are for building fresh
+    objects; committed values are deep-copied on the way in (``omap_set``,
+    ``xattr_set``) and handed out as copies by the method context.
     """
 
-    __slots__ = ("oid", "data", "omap", "xattrs", "version")
+    __slots__ = ("oid", "data", "omap", "xattrs", "version",
+                 "incarnation")
 
     def __init__(self, oid: str):
         self.oid = oid
@@ -34,28 +83,21 @@ class StoredObject:
         self.omap: Dict[str, Any] = {}
         self.xattrs: Dict[str, Any] = {}
         self.version = 0
+        self.incarnation = NO_INCARNATION
+
+    @property
+    def stamp(self) -> Tuple[Tuple[float, int], int]:
+        """``(incarnation, version)``: the later copy compares greater."""
+        return self.incarnation, self.version
 
     # ------------------------------------------------------------------
     # Bytestream
     # ------------------------------------------------------------------
     def read(self, offset: int = 0, length: Optional[int] = None) -> bytes:
-        if offset < 0:
-            raise InvalidArgument("negative read offset")
-        if length is None:
-            return bytes(self.data[offset:])
-        if length < 0:
-            raise InvalidArgument("negative read length")
-        return bytes(self.data[offset:offset + length])
+        return read_bytes(self.data, offset, length)
 
     def write(self, offset: int, data: bytes) -> None:
-        if offset < 0:
-            raise InvalidArgument("negative write offset")
-        end = offset + len(data)
-        if end > MAX_OBJECT_SIZE:
-            raise InvalidArgument(f"object would exceed {MAX_OBJECT_SIZE}B")
-        if len(self.data) < end:
-            self.data.extend(b"\x00" * (end - len(self.data)))
-        self.data[offset:end] = data
+        write_bytes(self.data, offset, data)
         self.version += 1
 
     def append(self, data: bytes) -> int:
@@ -65,12 +107,7 @@ class StoredObject:
         return offset
 
     def truncate(self, size: int) -> None:
-        if size < 0:
-            raise InvalidArgument("negative truncate size")
-        if size < len(self.data):
-            del self.data[size:]
-        else:
-            self.data.extend(b"\x00" * (size - len(self.data)))
+        truncate_bytes(self.data, size)
         self.version += 1
 
     @property
@@ -130,6 +167,7 @@ class StoredObject:
         other.omap = copy.deepcopy(self.omap)
         other.xattrs = copy.deepcopy(self.xattrs)
         other.version = self.version
+        other.incarnation = self.incarnation
         return other
 
     def to_dict(self) -> Dict[str, Any]:
@@ -140,6 +178,7 @@ class StoredObject:
             "omap": copy.deepcopy(self.omap),
             "xattrs": copy.deepcopy(self.xattrs),
             "version": self.version,
+            "incarnation": self.incarnation,
         }
 
     @classmethod
@@ -149,8 +188,39 @@ class StoredObject:
         obj.omap = copy.deepcopy(d["omap"])
         obj.xattrs = copy.deepcopy(d["xattrs"])
         obj.version = d["version"]
+        obj.incarnation = tuple(d.get("incarnation", NO_INCARNATION))
         return obj
 
     def __repr__(self) -> str:
         return (f"StoredObject({self.oid!r}, {self.size}B, "
                 f"{len(self.omap)} omap keys, v{self.version})")
+
+
+def apply_write_set(base: Optional[StoredObject], oid: str,
+                    ws: Dict[str, Any]) -> StoredObject:
+    """The object version a transaction's write set makes of ``base``.
+
+    ``ws`` is the form :meth:`MethodContext.write_set` emits and the
+    ``osd_repop`` payload carries: ``reset`` (the base was discarded:
+    removed and re-created, or created from nothing), ``data`` (the
+    whole bytestream image, or None when untouched), ``omap`` /
+    ``omap_rm`` (keys set / deleted), ``xattrs`` (keys set) and the
+    resulting ``version`` and ``incarnation``.  The result is a shallow copy of the base
+    plus the write set: it shares the base's data buffer and untouched
+    values, and the base itself is never mutated.
+    """
+    obj = StoredObject(oid)
+    if base is not None and not ws["reset"]:
+        obj.data = base.data
+        obj.omap = dict(base.omap)
+        obj.xattrs = dict(base.xattrs)
+    data = ws["data"]
+    if data is not None:
+        obj.data = data if isinstance(data, bytearray) else bytearray(data)
+    for key in ws["omap_rm"]:
+        obj.omap.pop(key, None)
+    obj.omap.update(ws["omap"])
+    obj.xattrs.update(ws["xattrs"])
+    obj.version = ws["version"]
+    obj.incarnation = ws["incarnation"]
+    return obj

@@ -8,9 +8,10 @@ an ``exec`` op invokes an object-class method in the middle of the
 same transaction.
 
 Application is pure with respect to daemon state: it takes the current
-object (or None), returns per-op results plus the new object state, and
-the OSD commits.  That purity is what lets replicas apply shipped state
-instead of re-executing, and lets tests drive op lists directly.
+object (or None), returns per-op results plus the transaction — a
+write set over the untouched input — and the OSD commits.  That purity
+is what lets replicas apply the shipped write set instead of
+re-executing, and lets tests drive op lists directly.
 """
 
 from __future__ import annotations
@@ -46,20 +47,20 @@ def apply_ops(
     registry: ClassRegistry,
     epoch: Optional[int] = None,
     now: float = 0.0,
-) -> Tuple[List[Any], Optional[StoredObject], bool]:
+) -> Tuple[List[Any], MethodContext]:
     """Apply ``ops`` transactionally.
 
-    Returns ``(results, new_object_state, removed)``.  Raises the first
-    failing op's error, in which case the caller must discard any
-    partial state (the input ``obj`` is never mutated — the context
-    works on a clone).
+    Returns ``(results, txn)``: ``txn`` is the op list's context, whose
+    ``outcome()`` materializes the new version, ``mutated`` says
+    whether there is anything to commit, and ``write_set()`` is what
+    replication ships.  Raises the first failing op's error; the input
+    ``obj`` is never mutated, so there is nothing to roll back.
     """
-    ctx = MethodContext(obj, oid, epoch=epoch, now=now)  # ctx clones
+    ctx = MethodContext(obj, oid, epoch=epoch, now=now)
     results: List[Any] = []
     for op in ops:
         results.append(_apply_one(ctx, op, registry))
-    new_obj, removed = ctx.outcome()
-    return results, new_obj, removed
+    return results, ctx
 
 
 def _apply_one(ctx: MethodContext, op: Dict[str, Any],

@@ -3,9 +3,9 @@
 Implements RADOS's division of labor (paper sections 2 and 4.4):
 
 * serves client object operations for PGs it leads, applying op lists
-  transactionally and replicating resulting state to the acting set
-  (primary-copy replication; the primary acks only after all live
-  replicas ack);
+  transactionally and replicating each transaction's write set to the
+  acting set (primary-copy replication; the primary acks only after
+  all live replicas ack);
 * participates in peer-to-peer map gossip: epochs piggyback on every
   message, new maps are pushed to a random fanout of peers, so a map
   committed by the monitors reaches the whole cluster without the
@@ -20,7 +20,10 @@ Implements RADOS's division of labor (paper sections 2 and 4.4):
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+import itertools
+from collections import deque
+from typing import Any, Callable, Deque, Dict, Generator, List, Optional, \
+    Tuple
 
 from repro.errors import (
     DaemonDown,
@@ -34,10 +37,11 @@ from repro.monitor.monitor import MonitorClient
 from repro.msg import Daemon, Envelope
 from repro.objclass.bundled import register_all
 from repro.objclass.registry import ClassRegistry
-from repro.rados.objects import StoredObject
-from repro.rados.ops import apply_ops
+from repro.objclass.context import MethodContext
+from repro.rados.objects import StoredObject, apply_write_set
+from repro.rados.ops import apply_ops, is_read_only
 from repro.rados.placement import acting_set, pg_of
-from repro.sim.event import Timeout, gather
+from repro.sim.event import Future, Timeout
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
 from repro.store import CacheTier, FaultInjectingStore, \
@@ -86,6 +90,12 @@ class OSD(Daemon, MonitorClient):
         # pre-refactor semantics.
         self.pgs: Dict[PgId, ObjectStore] = {}
         self._store_ticker_started = False
+        #: (pool, oid) -> FIFO of ops waiting to enter the object's
+        #: fetch -> apply -> commit section (volatile; see _lock_object).
+        self._object_locks: Dict[Tuple[str, str], Deque[Future]] = {}
+        #: Tie-breaker for the incarnations this OSD stamps (objects it
+        #: creates in the same simulated instant).
+        self._incarnation_seq = itertools.count(1)
         self.registry = ClassRegistry()
         register_all(self.registry)
         self._installed_versions: Dict[str, int] = {}
@@ -480,63 +490,151 @@ class OSD(Daemon, MonitorClient):
                                             acting, m.pool(pool)["ec"])
             return result
         store = self._pg_store(pool, pgid)
-        obj, read_delay = store.fetch(oid)
-        if read_delay > 0:
-            # Modeled media service time; MemStore charges 0.0, so
-            # default pools add no events here (schedule identity).
-            yield Timeout(read_delay)
-        results, new_obj, removed = apply_ops(
-            obj, oid, ops, self.registry,
-            epoch=payload.get("epoch"), now=self.sim.now)
         san = getattr(self.sim, "sanitizers", None)
-        if san is not None:
-            # The transaction was *accepted*; the epoch-fencing
-            # sanitizer checks no stale-epoch zlog op slipped through.
-            san.zlog.observe_ops(pool, oid, ops, daemon=self)
-        mutated = (removed
-                   or (new_obj is not None
-                       and (obj is None or new_obj.version != obj.version)))
-        if mutated:
-            if removed:
-                write_delay = store.discard(oid)
-            else:
-                assert new_obj is not None
-                write_delay = store.commit(new_obj)
-            if write_delay > 0:
-                yield Timeout(write_delay)
+        key = (pool, oid)
+        # Reads apply to whatever version is committed when they fetch;
+        # only op lists that may commit need the section to themselves.
+        locked = not is_read_only(ops)
+        if locked:
+            yield from self._lock_object(key)
+        try:
+            obj, read_delay = store.fetch(oid)
+            if read_delay > 0:
+                # Modeled media service time; MemStore charges 0.0, so
+                # default pools add no events here (schedule identity).
+                yield Timeout(read_delay)
+            base_print = None if san is None else \
+                san.objects.fingerprint(obj)
+            try:
+                results, txn = apply_ops(
+                    obj, oid, ops, self.registry,
+                    epoch=payload.get("epoch"), now=self.sim.now)
+            except MalacologyError:
+                if san is not None:
+                    san.objects.check(pool, oid, obj, base_print,
+                                      daemon=self)
+                raise
+            if san is not None:
+                # The transaction was *accepted*; the epoch-fencing
+                # sanitizer checks no stale-epoch zlog op slipped
+                # through.
+                san.zlog.observe_ops(pool, oid, ops, daemon=self)
+            if txn.reset:
+                # A new life of the object: stamp it so replicas can
+                # tell it from the one it replaces (versions restart).
+                txn.incarnation = (self.sim.now,
+                                   next(self._incarnation_seq))
+            if txn.mutated:
+                new_obj, removed = txn.outcome()
+                if removed:
+                    write_delay = store.discard(oid)
+                else:
+                    assert new_obj is not None
+                    write_delay = store.commit(new_obj)
+                if write_delay > 0:
+                    yield Timeout(write_delay)
+        finally:
+            if locked:
+                self._unlock_object(key)
+        if txn.mutated:
             if (self.changelog is not None
                     and pool not in CHANGELOG_EXCLUDED_POOLS):
                 self.changelog.emit("object_write", src, pool=pool,
                                     oid=oid, removed=removed)
             yield from self._replicate(pool, pgid, oid, acting[1:],
-                                       new_obj, removed)
+                                       new_obj, removed, txn)
+        if san is not None:
+            # Versions share values with the base; none may have
+            # changed in place while the op ran.
+            san.objects.check(pool, oid, obj, base_print, daemon=self)
         return results
+
+    def _lock_object(self, key: Tuple[str, str]) -> Generator:
+        """Enter ``key``'s fetch -> apply -> commit section, FIFO.
+
+        Two mutating ops on one object must not both apply to the same
+        fetched version, or the later commit drops the earlier op's
+        effect after it was acked.  Only stores that charge a read or
+        write delay can yield inside the section; MemStore never does,
+        so on default pools the section is always free and entering it
+        schedules no event.
+        """
+        waiters = self._object_locks.get(key)
+        if waiters is None:
+            self._object_locks[key] = deque()
+            return
+        turn = Future(name=f"{self.name}:objlock")
+        waiters.append(turn)
+        yield turn
+
+    def _unlock_object(self, key: Tuple[str, str]) -> None:
+        if not self.alive:
+            return  # crashed mid-section: on_crash drops the table
+        waiters = self._object_locks[key]
+        if waiters:
+            waiters.popleft().resolve()  # hand the section over
+        else:
+            del self._object_locks[key]
 
     def _replicate(self, pool: str, pgid: int, oid: str,
                    replicas: List[str], new_obj: Optional[StoredObject],
-                   removed: bool) -> Generator:
+                   removed: bool, txn: MethodContext) -> Generator:
+        """Ship ``txn``'s write set to the replicas and await their acks.
+
+        A replica whose copy is not at the write set's base (same
+        incarnation, base version) answers False; it then gets the
+        primary's current full state through the stamp-merged
+        ``pg_push`` before the client is acked.
+        """
         if not replicas:
             return
         payload = {
-            "pool": pool, "pg": pgid, "oid": oid,
-            "state": None if removed else new_obj.to_dict(),
-            "removed": removed,
+            "pool": pool, "pg": pgid, "oid": oid, "removed": removed,
+            "base_version": txn.base_version,
+            "new_version": None if removed else new_obj.version,
+            # The life the removal ends, or the one the write set
+            # produces.
+            "incarnation": txn.incarnation,
+            "txn": None if removed else txn.write_set(),
         }
         self.perf.incr("repop.tx", len(replicas))
         futs = [self.call(r, "osd_repop", payload,
                           timeout=self.REPOP_TIMEOUT) for r in replicas]
+        behind = []
         for rep, fut in zip(replicas, futs):
             try:
-                yield fut
+                applied = yield fut
             except (TimeoutError_, DaemonDown):
                 # Degraded write: continue, and make sure the monitor
                 # hears about the unresponsive replica.
                 self.spawn(self._report_failure(rep),
                            name=f"{self.name}:report")
+                continue
             except NotPrimary:
-                pass  # replica has a newer map; rebalance will fix us
+                continue  # replica has a newer map; rebalance fixes us
+            if applied is False:
+                behind.append(rep)
+        for rep in behind:
+            self.perf.incr("repop.full_fallback")
+            yield from self._push_object(pool, pgid, oid, rep)
+
+    def _push_object(self, pool: str, pgid: int, oid: str,
+                     rep: str) -> Generator:
+        """Bring one replica's copy of ``oid`` up to the primary's."""
+        obj = self._pg_store(pool, pgid).get(oid)
+        if obj is None:
+            return  # removed since; that removal's repop carries it
+        payload = {"pool": pool, "pg": pgid,
+                   "objects": {oid: obj.to_dict()}}
+        try:
+            yield self.call(rep, "pg_push", payload,
+                            timeout=self.REPOP_TIMEOUT)
+        except (TimeoutError_, DaemonDown):
+            self.spawn(self._report_failure(rep),
+                       name=f"{self.name}:report")
 
     def _h_repop(self, src: str, payload: Dict[str, Any]) -> Any:
+        """Apply a primary's write set; False asks for its full state."""
         m = self.osdmap
         pool, pgid = payload["pool"], payload["pg"]
         if m is not None:
@@ -547,11 +645,26 @@ class OSD(Daemon, MonitorClient):
                     f"epoch {m.epoch}")
         self.perf.incr("repop.rx")
         store = self._pg_store(pool, pgid)
+        oid = payload["oid"]
+        incarnation = payload["incarnation"]
+        current = store.get(oid)
         if payload["removed"]:
-            delay = store.discard(payload["oid"])
+            if current is not None and current.incarnation > incarnation:
+                return True  # a later life already arrived; keep it
+            delay = store.discard(oid)
         else:
-            delay = store.commit(
-                StoredObject.from_dict(payload["state"]))
+            # Repops can arrive reordered, or after a missed one.
+            ws = payload["txn"]
+            have = None if current is None else current.stamp
+            if have is not None and have >= (incarnation,
+                                             payload["new_version"]):
+                return True  # a later push or write set landed first
+            if not ws["reset"] and have != (incarnation,
+                                            payload["base_version"]):
+                return False  # not our base: ask for the full state
+            # A reset write set does not read its base: it replaces
+            # any earlier life.
+            delay = store.commit(apply_write_set(current, oid, ws))
         if delay > 0:
             # Non-default backends charge their write cost before the
             # ack; MemStore returns 0.0 and the reply stays synchronous.
@@ -659,9 +772,10 @@ class OSD(Daemon, MonitorClient):
         for oid, state in payload["objects"].items():
             incoming = StoredObject.from_dict(state)
             current = pg.get(oid)
-            # Normal backfill merges by version; scrub repair forces the
-            # primary's state in (silent corruption keeps the version).
-            if force or current is None or incoming.version > current.version:
+            # Normal backfill merges by (incarnation, version) stamp;
+            # scrub repair forces the primary's state in (silent
+            # corruption keeps the stamp).
+            if force or current is None or incoming.stamp > current.stamp:
                 pg[oid] = incoming
         return True
 
@@ -693,12 +807,11 @@ class OSD(Daemon, MonitorClient):
             base = StoredObject(oid)
             base.write(0, data)
             base.version = manifest.xattrs.get("ec.version", 0)
-        results, new_obj, removed = apply_ops(
-            base, oid, ops, self.registry, now=self.sim.now)
-        mutated = (removed or (new_obj is not None and (
-            base is None or new_obj.version != base.version)))
-        if not mutated:
+        results, txn = apply_ops(base, oid, ops, self.registry,
+                                 now=self.sim.now)
+        if not txn.mutated:
             return results
+        new_obj, removed = txn.outcome()
         if removed:
             pg.pop(oid, None)
             for i, member in enumerate(acting):
@@ -952,6 +1065,7 @@ class OSD(Daemon, MonitorClient):
         self.booted = False
         self._store_ticker_started = False  # ticker proc died with us
         self.watchers = {}
+        self._object_locks = {}
         self._reported_down = set()
         self._reasserting = False  # the spawned procs died with us
         self._rebalance_retry_pending = False

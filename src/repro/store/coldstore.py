@@ -23,24 +23,27 @@ import copy
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.rados.erasure import ErasureCodec
-from repro.rados.objects import StoredObject
+from repro.rados.objects import NO_INCARNATION, StoredObject
 from repro.store.base import ObjectStore
 
 
 class ColdObject:
     """One flushed object: EC shards + verbatim metadata."""
 
-    __slots__ = ("oid", "shards", "length", "omap", "xattrs", "version")
+    __slots__ = ("oid", "shards", "length", "omap", "xattrs", "version",
+                 "incarnation")
 
     def __init__(self, oid: str, shards: List[bytes], length: int,
                  omap: Dict[str, Any], xattrs: Dict[str, Any],
-                 version: int):
+                 version: int,
+                 incarnation: Tuple[float, int] = NO_INCARNATION):
         self.oid = oid
         self.shards = shards
         self.length = length
         self.omap = omap
         self.xattrs = xattrs
         self.version = version
+        self.incarnation = incarnation
 
 
 class ColdStore(ObjectStore):
@@ -74,13 +77,14 @@ class ColdStore(ObjectStore):
         obj.omap = copy.deepcopy(cold.omap)
         obj.xattrs = copy.deepcopy(cold.xattrs)
         obj.version = cold.version
+        obj.incarnation = cold.incarnation
         return obj
 
     def _freeze(self, obj: StoredObject, shards: List[bytes]) -> None:
         self._cold[obj.oid] = ColdObject(
             obj.oid, shards, obj.size,
             copy.deepcopy(obj.omap), copy.deepcopy(obj.xattrs),
-            obj.version)
+            obj.version, obj.incarnation)
 
     def staged_count(self) -> int:
         return len(self._staging)

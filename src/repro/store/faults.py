@@ -114,14 +114,22 @@ class StoreFaultPlane:
         Returns False when the object is missing or has no data bytes
         to rot.  Goes through the mapping plane so no delay is charged
         and no version is bumped — the object looks untouched until a
-        scrub hashes it.
+        scrub hashes it.  The rotted copy replaces the object instead
+        of changing it in place: committed versions share their data
+        buffer, and rot strikes only the medium's current one.
         """
         obj = store.get(oid)
         if obj is None or not obj.data:
             return False
         index = self.rng.randrange(len(obj.data))
-        obj.data[index] ^= 1 << self.rng.randrange(8)
-        store[oid] = obj  # write back (cache tiers copy on read)
+        rotten = StoredObject(oid)
+        rotten.data = bytearray(obj.data)
+        rotten.data[index] ^= 1 << self.rng.randrange(8)
+        rotten.omap = dict(obj.omap)
+        rotten.xattrs = dict(obj.xattrs)
+        rotten.version = obj.version
+        rotten.incarnation = obj.incarnation
+        store[oid] = rotten
         self._record("bitrot", f"{owner}:{oid}@{index}")
         return True
 
@@ -140,6 +148,7 @@ def _tear(old: Optional[StoredObject],
         torn.omap = dict(old.omap)
         torn.xattrs = dict(old.xattrs)
     torn.version = new.version
+    torn.incarnation = new.incarnation
     return torn
 
 

@@ -13,6 +13,8 @@ import pytest
 
 from repro.analysis.sanitizers import ProtocolViolation, SanitizerRegistry
 from repro.core import MalacologyCluster
+from repro.errors import NotFound
+from repro.objclass.context import MethodContext
 from repro.zlog import StripeLayout, ZLog
 
 
@@ -146,6 +148,47 @@ def test_zlog_sanitizer_catches_stale_epoch_acceptance():
     assert v.sanitizer == "zlog"
     assert v.invariant == "epoch-fencing"
     assert oid in v.message and "epoch 1" in v.message
+    assert v.trace is not None and "osd_op" in v.trace
+    assert san.violations
+
+
+# ----------------------------------------------------------------------
+# ObjectAliasingSanitizer
+# ----------------------------------------------------------------------
+def test_object_sanitizer_catches_in_place_mutation_of_shared_value(
+        monkeypatch):
+    """Sabotage the method context so omap_get hands out the live
+    committed value (no private copy); a class that edits it in place
+    then rewrites the base version the next version shares it with,
+    and the sanitizer must catch the changed base."""
+    c = build(105)
+    san = c.sim.sanitizers
+    c.do(c.admin.rados_omap_set("data", "victim", "counter", {"n": 0}))
+    assert san.objects.checks > 0 and not san.violations
+
+    def leaky_omap_get(self, key):
+        value = self._omap_lookup(key)
+        if value is self._MISSING:
+            raise NotFound(key)
+        return value
+
+    def bump(ctx, args):
+        state = ctx.omap_get("counter")
+        state["n"] += 1
+        ctx.omap_set("counter", state)
+        return state["n"]
+
+    monkeypatch.setattr(MethodContext, "omap_get", leaky_omap_get)
+    for osd in c.osds:
+        osd.registry.register_bundled("leaky", {"bump": bump})
+    with pytest.raises(ProtocolViolation) as ei:
+        c.do(c.admin.traced(
+            c.admin.rados_exec("data", "victim", "leaky", "bump", {}),
+            "leaky.bump"))
+    v = ei.value
+    assert v.sanitizer == "objects"
+    assert v.invariant == "base-immutable"
+    assert "data/victim" in v.message
     assert v.trace is not None and "osd_op" in v.trace
     assert san.violations
 

@@ -76,12 +76,13 @@ def test_rollback_composes_transactionally(reg):
     atomicity at the OSD layer)."""
     from repro.rados.ops import apply_ops
 
-    _, obj, _ = apply_ops(None, "o", [
+    _, txn = apply_ops(None, "o", [
         {"op": "write_full", "data": b"good"},
         {"op": "exec", "cls": "snapshot", "method": "create",
          "args": {"name": "s"}},
         {"op": "write_full", "data": b"bad"},
     ], reg)
+    obj, _ = txn.outcome()
     with pytest.raises(NotFound):
         apply_ops(obj, "o", [
             {"op": "exec", "cls": "snapshot", "method": "rollback",
@@ -89,5 +90,5 @@ def test_rollback_composes_transactionally(reg):
             {"op": "omap_get", "key": "no-such-key"},
         ], reg)
     # Rollback never landed: object still reads "bad".
-    results, _, _ = apply_ops(obj, "o", [{"op": "read"}], reg)
+    results, _ = apply_ops(obj, "o", [{"op": "read"}], reg)
     assert results[0] == b"bad"

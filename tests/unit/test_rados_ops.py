@@ -9,6 +9,13 @@ from repro.rados.objects import StoredObject
 from repro.rados.ops import apply_ops, is_read_only
 
 
+def _apply(*args, **kwargs):
+    """apply_ops, with the transaction materialized as the OSD does."""
+    results, txn = apply_ops(*args, **kwargs)
+    new_obj, removed = txn.outcome()
+    return results, new_obj, removed
+
+
 @pytest.fixture(scope="module")
 def registry():
     reg = ClassRegistry()
@@ -28,7 +35,7 @@ def test_is_read_only_classification():
 
 
 def test_apply_ops_returns_per_op_results(registry):
-    results, obj, removed = apply_ops(
+    results, obj, removed = _apply(
         None, "o",
         [
             {"op": "create"},
@@ -57,7 +64,7 @@ def test_apply_ops_failure_leaves_input_untouched(registry):
 
 
 def test_apply_ops_exec_composes_with_native_ops(registry):
-    results, obj, _ = apply_ops(
+    results, obj, _ = _apply(
         None, "o",
         [
             {"op": "write_full", "data": b"matrix-bytes"},
@@ -88,11 +95,11 @@ def test_apply_ops_exec_failure_aborts_native_ops_too(registry):
 def test_apply_ops_remove_and_recreate(registry):
     obj = StoredObject("o")
     obj.write(0, b"x")
-    results, new_obj, removed = apply_ops(
+    results, new_obj, removed = _apply(
         obj, "o", [{"op": "remove"}], registry)
     assert removed and new_obj is None
     # Remove-then-create in one transaction resurrects fresh state.
-    results, new_obj, removed = apply_ops(
+    results, new_obj, removed = _apply(
         obj, "o", [{"op": "remove"}, {"op": "create"}, {"op": "stat"}],
         registry)
     assert not removed
@@ -119,7 +126,7 @@ def test_apply_ops_unknown_op_rejected(registry):
 
 
 def test_apply_ops_epoch_reaches_class_context(registry):
-    results, obj, _ = apply_ops(
+    results, obj, _ = _apply(
         None, "o",
         [{"op": "exec", "cls": "zlog", "method": "write",
           "args": {"epoch": 5, "pos": 0, "data": "d"}}],
@@ -127,7 +134,7 @@ def test_apply_ops_epoch_reaches_class_context(registry):
     # Seal at 6, then epoch-5 context write must bounce.
     from repro.errors import StaleEpoch
 
-    _, obj, _ = apply_ops(obj, "o",
+    _, obj, _ = _apply(obj, "o",
                           [{"op": "exec", "cls": "zlog",
                             "method": "seal", "args": {"epoch": 6}}],
                           registry)
