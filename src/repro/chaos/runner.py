@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from repro.analysis import sanitizers
 from repro.analysis.sanitizers import ProtocolViolation
 from repro.chaos.engine import NemesisEngine
 from repro.chaos.ops import NemesisSchedule
@@ -48,12 +49,18 @@ def run_case(scenario_name: str, seed: int,
             f"unknown scenario {scenario_name!r} "
             f"(known: {', '.join(sorted(SCENARIOS))})")
     verdict = RunVerdict(scenario=scenario_name, seed=seed)
+    registered = len(sanitizers.ACTIVE)
     try:
         _run_case(scenario, seed, schedule, settle, verdict)
     except (ProtocolViolation, MalacologyError, RuntimeError,
             AssertionError, ValueError) as exc:
         verdict.ok = False
         verdict.error = f"{type(exc).__name__}: {exc}"
+    finally:
+        # The verdict holds the sanitizer report; drop the case's
+        # registry (and with it the whole cluster) from ACTIVE, or
+        # sweeps and minimization would retain every case they run.
+        del sanitizers.ACTIVE[registered:]
     return verdict
 
 

@@ -137,7 +137,7 @@ class MgrDaemon(Daemon, MonitorClient):
         sample.mdsmap = self.cached_maps.get("mds")
         # Out-of-band reads (no messages): a fault-free managed run
         # stays schedule-identical whether or not these are captured.
-        engine = getattr(self.sim, "chaos", None)
+        engine = self.sim.chaos
         if engine is not None:
             sample.chaos = engine.status()
         sample.netstats = self.network.stats()
@@ -263,14 +263,14 @@ class MgrDaemon(Daemon, MonitorClient):
         the damage they cause.
         """
         dumps = dict(self._last_dumps)
-        profiler = getattr(self.sim, "profiler", None)
+        profiler = self.sim.profiler
         if profiler is not None:
             dumps["kernel"] = profiler.prometheus_dump()
         dumps["network"] = {
             "counters": {f"net.{key}": float(value)
                          for key, value in self.network.stats().items()},
         }
-        engine = getattr(self.sim, "chaos", None)
+        engine = self.sim.chaos
         if engine is not None:
             status = engine.status()
             dumps["chaos"] = {

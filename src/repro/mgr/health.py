@@ -517,13 +517,14 @@ class CompactionStalledCheck(HealthCheck):
 
 
 class ChaosNemesisCheck(HealthCheck):
-    """A nemesis schedule is armed against this cluster.
+    """A nemesis schedule with at least one op is armed.
 
     Chaos runs are deliberate, but an operator looking at a sick
     cluster should see at a glance that faults are being *injected*
     rather than organic — the same reason Ceph surfaces ``noout`` and
     friends as health warnings.  Reads the engine status the sampler
-    captured out-of-band; clusters without an engine never fire it.
+    captured out-of-band.  Clusters without an engine, or armed with
+    an empty schedule (which injects nothing), never fire it.
     """
 
     name = "CHAOS_NEMESIS_ACTIVE"
@@ -531,7 +532,7 @@ class ChaosNemesisCheck(HealthCheck):
     def evaluate(self, sample: ClusterSample
                  ) -> Optional[HealthCheckResult]:
         chaos = sample.chaos
-        if not chaos or not chaos.get("armed"):
+        if not chaos or not chaos.get("armed") or not chaos.get("ops"):
             return None
         return self.result(
             HEALTH_WARN,
@@ -603,7 +604,7 @@ def sample_cluster(cluster: Any,
             best_mds = mdsmap
     sample.osdmap = best_osd
     sample.mdsmap = best_mds
-    engine = getattr(cluster.sim, "chaos", None)
+    engine = cluster.sim.chaos
     if engine is not None:
         sample.chaos = engine.status()
     sample.netstats = cluster.net.stats()

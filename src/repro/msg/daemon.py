@@ -80,19 +80,6 @@ class Daemon:
             lambda: sum(1 for p in self._procs if not p.done))
         install_telemetry_commands(self)
         install_profile_commands(self)
-        profiler = sim.profiler
-        if profiler is not None:
-            # Profiled clusters surface per-daemon handler totals as
-            # telemetry gauges, which the mgr's scrapes then carry
-            # into the Prometheus export.  Gauges are evaluated only
-            # at dump time, so registration never touches the
-            # schedule.
-            self.perf.gauge_fn(
-                "profile.handler_events",
-                lambda: profiler.daemon_totals(self.name)["events"])
-            self.perf.gauge_fn(
-                "profile.handler_sim_time",
-                lambda: profiler.daemon_totals(self.name)["sim_time"])
         network.register(self)
 
     # ------------------------------------------------------------------

@@ -18,8 +18,7 @@ existing machinery, not a fork of it):
   ``trace.json``.
 
 Enable with ``MalacologyCluster.build(profile=True)`` or
-``MALACOLOGY_PROFILE=1`` (mirroring ``sanitize`` /
-``MALACOLOGY_SANITIZE``); query anywhere via the ``profile.status`` /
+:func:`install_profiler`; query anywhere via the ``profile.status`` /
 ``profile.dump`` admin commands; Prometheus kernel gauges ride the
 mgr's ``metrics.export``.
 """
@@ -55,7 +54,6 @@ __all__ = [
     "peak_rss_bytes",
     "profile_dump",
     "profile_status",
-    "uninstall_profiler",
     "write_chrome_trace",
 ]
 
@@ -67,16 +65,11 @@ def install_profiler(sim, wall: bool = True) -> SimProfiler:
     host plane for runs that only want deterministic counts.  Returns
     the :class:`SimProfiler` (reused if one is already attached).
     """
-    profiler = getattr(sim, "profiler", None)
+    profiler = sim.profiler
     if profiler is None:
         profiler = SimProfiler(sim)
         sim.profiler = profiler
-    if wall and getattr(sim, "wall_profiler", None) is None:
+    if wall and sim.wall_profiler is None:
         sim.wall_profiler = WallClockProfiler(sim)
     return profiler
 
-
-def uninstall_profiler(sim) -> None:
-    """Detach both planes (the ``profile=False`` override)."""
-    sim.profiler = None
-    sim.wall_profiler = None

@@ -26,8 +26,8 @@ def install_profile_commands(daemon: Any) -> None:
 
 def profile_status(daemon: Any) -> Dict[str, Any]:
     """Kernel-plane summary plus this daemon's handler totals."""
-    prof = getattr(daemon.sim, "profiler", None)
-    wall = getattr(daemon.sim, "wall_profiler", None)
+    prof = daemon.sim.profiler
+    wall = daemon.sim.wall_profiler
     out: Dict[str, Any] = {
         "daemon": daemon.name,
         "enabled": prof is not None,
@@ -52,8 +52,8 @@ def profile_dump(daemon: Any,
     collapsed-stack text.
     """
     args = args or {}
-    prof = getattr(daemon.sim, "profiler", None)
-    wall = getattr(daemon.sim, "wall_profiler", None)
+    prof = daemon.sim.profiler
+    wall = daemon.sim.wall_profiler
     out: Dict[str, Any] = {
         "daemon": daemon.name,
         "enabled": prof is not None,

@@ -11,8 +11,7 @@ pinned by an integration test).
 
 Off by default: ``Simulator.profiler`` is ``None`` and the kernel's
 dispatch loop takes a single-``is``-check fast path.  Enable per
-cluster with ``MalacologyCluster.build(profile=True)`` or globally
-with ``MALACOLOGY_PROFILE=1``.
+cluster with ``MalacologyCluster.build(profile=True)``.
 """
 
 from __future__ import annotations
@@ -123,7 +122,7 @@ class SimProfiler:
 
     def daemon_totals(self, daemon: str) -> Dict[str, float]:
         """Aggregate handler events / simulated time for one daemon
-        (feeds the per-daemon ``profile.*`` telemetry gauges)."""
+        (feeds ``profile.status``)."""
         events = 0
         sim_time = 0.0
         for (d, _), stat in self._handlers.items():

@@ -490,7 +490,7 @@ class OSD(Daemon, MonitorClient):
                                             acting, m.pool(pool)["ec"])
             return result
         store = self._pg_store(pool, pgid)
-        san = getattr(self.sim, "sanitizers", None)
+        san = self.sim.sanitizers
         key = (pool, oid)
         # Reads apply to whatever version is committed when they fetch;
         # only op lists that may commit need the section to themselves.

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 import os
 import random
 from typing import Any, Callable, Dict, Generator, Iterator, Optional
@@ -166,9 +167,6 @@ class Simulator:
         if os.environ.get("MALACOLOGY_SANITIZE"):
             from repro.analysis.sanitizers import install_sanitizers
             install_sanitizers(self)
-        if os.environ.get("MALACOLOGY_PROFILE"):
-            from repro.profiling import install_profiler
-            install_profiler(self)
 
     # ------------------------------------------------------------------
     # Clock and randomness
@@ -229,29 +227,7 @@ class Simulator:
         earlier, so back-to-back ``run`` calls compose predictably.
         """
         self._stopped = False
-        profiler = self.profiler
-        wall = self.wall_profiler
-        while self._queue and not self._stopped:
-            when, _, call = self._queue[0]
-            if until is not None and when > until:
-                break
-            heapq.heappop(self._queue)
-            if call.cancelled:
-                if profiler is not None:
-                    profiler.on_cancelled()
-                continue
-            self._now = when
-            if profiler is not None:
-                profiler.on_event(when, len(self._queue))
-            if wall is None:
-                call.fn(*call.args)
-            else:
-                token = wall.begin()
-                try:
-                    call.fn(*call.args)
-                finally:
-                    wall.end_dispatch(token, call)
-            self._raise_pending_failures()
+        self._dispatch(math.inf if until is None else until)
         if until is not None and self._now < until:
             self._now = until
         self._raise_pending_failures()
@@ -264,30 +240,46 @@ class Simulator:
         Convenience for tests and examples: returns the settled value
         (or raises its error).  Raises ``RuntimeError`` if the event
         queue drains without settling it — that means the awaited thing
-        deadlocked.
+        deadlocked — or if settling it would need an event past the
+        simulated time ``limit``.  :meth:`stop` does not end this loop.
         """
         fut = (proc_or_future.completion
                if isinstance(proc_or_future, Process) else proc_or_future)
         if not isinstance(fut, Future):
             raise TypeError("expected a Process or Future")
         fut.had_waiters = True  # we are the waiter; errors reach us
+        self._dispatch(limit, fut)
+        if fut.done:
+            return fut.result()
+        if not self._queue:
+            raise RuntimeError(
+                f"event queue drained but {fut!r} never settled "
+                "(deadlock)")
+        raise RuntimeError(f"exceeded simulated time limit {limit}")
+
+    def _dispatch(self, horizon: float,
+                  fut: Optional[Future] = None) -> None:
+        """The event loop behind :meth:`run` and :meth:`run_until_complete`.
+
+        Dispatches events in time order until the queue drains, the
+        next event lies past ``horizon``, or ``fut`` settles (without a
+        ``fut``: until :meth:`stop` is called).
+        """
+        queue = self._queue
         profiler = self.profiler
         wall = self.wall_profiler
-        while not fut.done:
-            if not self._queue:
-                raise RuntimeError(
-                    f"event queue drained but {fut!r} never settled "
-                    "(deadlock)")
-            if self._now > limit:
-                raise RuntimeError(f"exceeded simulated time limit {limit}")
-            when, _, call = heapq.heappop(self._queue)
+        while queue and not (self._stopped if fut is None else fut.done):
+            when, _, call = queue[0]
+            if when > horizon:
+                return
+            heapq.heappop(queue)
             if call.cancelled:
                 if profiler is not None:
                     profiler.on_cancelled()
                 continue
             self._now = when
             if profiler is not None:
-                profiler.on_event(when, len(self._queue))
+                profiler.on_event(when, len(queue))
             if wall is None:
                 call.fn(*call.args)
             else:
@@ -297,7 +289,6 @@ class Simulator:
                 finally:
                     wall.end_dispatch(token, call)
             self._raise_pending_failures()
-        return fut.result()
 
     # ------------------------------------------------------------------
     # Failure bookkeeping

@@ -108,7 +108,7 @@ class TraceCollector:
     @classmethod
     def of(cls, sim: Any) -> "TraceCollector":
         """The simulator's collector, created and attached on demand."""
-        collector = getattr(sim, "trace_collector", None)
+        collector = sim.trace_collector
         if collector is None:
             collector = cls(sim)
             sim.trace_collector = collector

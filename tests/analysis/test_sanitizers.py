@@ -3,8 +3,9 @@
 Every test injects a fault underneath the protocol layer (forged
 message, corrupted bookkeeping, sabotaged epoch guard) and asserts the
 named sanitizer fires with the causal RPC trace attached.  A final
-pair of tests pins the TSan-style contract: observation never changes
-the schedule, and clean runs report nothing.
+test pins that clean runs report nothing; that observation never
+changes the schedule is pinned with the other observer planes in
+``tests/integration/test_schedule_transparency.py``.
 """
 
 from types import SimpleNamespace
@@ -16,6 +17,7 @@ from repro.core import MalacologyCluster
 from repro.errors import NotFound
 from repro.objclass.context import MethodContext
 from repro.zlog import StripeLayout, ZLog
+from tests.tape import run_load
 
 
 def build(seed, **kw):
@@ -237,47 +239,20 @@ def test_migration_sanitizer_catches_overlapping_exports():
 
 
 # ----------------------------------------------------------------------
-# The TSan contract: observation changes nothing, clean runs are clean
+# Clean runs are clean
 # ----------------------------------------------------------------------
-def _schedule_tape(sanitize):
-    c = MalacologyCluster.build(osds=2, mdss=1, mons=3, seed=46,
-                                sanitize=sanitize)
-    tape = []
-    orig = c.net.send
-
-    def spy(src, dst, msg):
-        tape.append((c.sim.now, src, dst,
-                     getattr(msg, "method", None)
-                     or getattr(msg, "kind", None)))
-        return orig(src, dst, msg)
-
-    c.net.send = spy
-    client = c.new_client("load")
-
-    def work():
-        yield from client.fs_mkdir("/d")
-        for i in range(20):
-            yield from client.fs_create(f"/d/f{i}")
-        yield from client.fs_create("/d/seq", file_type="sequencer")
-        for _ in range(5):
-            yield from client.seq_next("/d/seq")
-
-    c.sim.run_until_complete(client.do(work()))
-    c.run(10.0)
-    return c, tape
-
-
-def test_sanitizers_do_not_perturb_schedules():
-    c_off, tape_off = _schedule_tape(sanitize=False)
-    c_on, tape_on = _schedule_tape(sanitize=True)
-    assert len(tape_off) > 100  # the workload exercised the network
-    assert tape_on == tape_off  # byte-identical schedules
-    assert c_off.sim.sanitizers is None
-    assert c_on.sim.sanitizers is not None
+def _load(client):
+    yield from client.fs_mkdir("/d")
+    for i in range(20):
+        yield from client.fs_create(f"/d/f{i}")
+    yield from client.fs_create("/d/seq", file_type="sequencer")
+    for _ in range(5):
+        yield from client.seq_next("/d/seq")
 
 
 def test_clean_run_reports_zero_violations():
-    c, _ = _schedule_tape(sanitize=True)
+    c = build(seed=46)
+    run_load(c, _load)
     assert c.sanitizer_report() == []
     # The clean run still *observed* the protocols.
     assert c.sim.sanitizers.paxos._chosen

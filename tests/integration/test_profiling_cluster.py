@@ -1,59 +1,25 @@
 """Integration: profiling on a live cluster.
 
-The spine guarantee is schedule identity — the profiler's contract is
-the same as the sanitizers', the mgr's, and the changelog's: observing
-the cluster must not change it.  A profiled run's full network tape
-(every daemon, every message, timestamps included) must be
-byte-identical to an unprofiled run of the same seed.
+Admin commands, the Prometheus export and live trace export.  That a
+profiled run's schedule is byte-identical to an unprofiled one is
+pinned with the other observer planes in
+``test_schedule_transparency.py``.
 """
 
 import json
 
 from repro.core import MalacologyCluster
 from repro.mgr.prometheus import parse_prometheus_text
+from tests.tape import run_load
 
 
-def _full_tape(profile):
-    c = MalacologyCluster.build(osds=3, mdss=1, mons=3, seed=4242,
-                                profile=profile)
-    tape = []
-    orig = c.net.send
-
-    def spy(src, dst, msg):
-        tape.append((round(c.sim.now, 9), src, dst,
-                     getattr(msg, "method", None)
-                     or getattr(msg, "kind", None)))
-        return orig(src, dst, msg)
-
-    c.net.send = spy
-    client = c.new_client("load")
-
-    def work():
-        yield from client.fs_mkdir("/d")
-        for i in range(15):
-            yield from client.fs_create(f"/d/f{i}")
-        for i in range(10):
-            yield from client.rados_write_full("data", f"obj{i}",
-                                               bytes([i]) * 64)
-        for i in range(10):
-            got = yield from client.rados_read("data", f"obj{i}")
-            assert got == bytes([i]) * 64
-
-    c.sim.run_until_complete(client.do(work()))
-    c.run(10.0)
-    return tape, c
-
-
-def test_profiler_does_not_change_daemon_schedules():
-    without, _ = _full_tape(profile=False)
-    with_prof, profiled = _full_tape(profile=True)
-    assert len(without) > 200  # the workload exercised the cluster
-    assert with_prof == without
-    # ... while the profiler actually observed the run.
-    prof = profiled.sim.profiler
-    assert prof.events_dispatched > len(without)
-    assert prof.handler_stats()
-    assert profiled.sim.wall_profiler.total_ns() > 0
+def _load(client):
+    yield from client.fs_mkdir("/d")
+    for i in range(15):
+        yield from client.fs_create(f"/d/f{i}")
+    for i in range(10):
+        yield from client.rados_write_full("data", f"obj{i}",
+                                           bytes([i]) * 64)
 
 
 def test_profile_admin_commands_on_and_off():
@@ -65,8 +31,9 @@ def test_profile_admin_commands_on_and_off():
     # Every daemon answers, not just the admin client.
     assert off.mons[0].admin_command("profile.status")["enabled"] is False
 
-    on, cluster = _full_tape(profile=True)
-    del on
+    cluster = MalacologyCluster.build(osds=3, mdss=1, mons=3, seed=4242,
+                                      profile=True)
+    run_load(cluster, _load)
     status = cluster.profile_status()
     assert status["enabled"] and status["wall_enabled"]
     assert status["kernel"]["events_dispatched"] > 0
@@ -111,9 +78,13 @@ def test_prometheus_export_carries_kernel_and_profile_gauges():
     assert by_name[("kernel", "kernel.queue_hwm")] > 0
     assert ("kernel", "kernel.event_rate_sim") in by_name
     assert ("kernel", "kernel.ready_hwm") in by_name
-    # Per-daemon handler gauges rode the mgr's ordinary scrapes.
-    assert by_name[("mds0", "profile.handler_events")] > 0
-    assert by_name[("mds0", "profile.handler_sim_time")] > 0
+    # Per-daemon handler totals ride the mgr's ordinary scrapes as the
+    # telemetry latency series of each ``rpc.<method>``.
+    rpc = {s.metric: s.value for s in samples
+           if s.labels.get("daemon") == "mds0"
+           and s.labels.get("name") == "rpc.mds_req"}
+    assert rpc["repro_latency_count"] > 0
+    assert rpc["repro_latency_sum"] > 0
     # An unprofiled mgr cluster exports no kernel pseudo-target.
     off = MalacologyCluster.build(osds=2, mdss=1, seed=11, mgr=True,
                                   profile=False)

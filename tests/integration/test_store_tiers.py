@@ -10,8 +10,6 @@ The two spine guarantees of the store refactor:
   route through the ObjectStore interface.
 """
 
-import hashlib
-
 import pytest
 
 from repro.core import MalacologyCluster
@@ -23,6 +21,7 @@ from repro.mgr.health import (
 )
 from repro.mgr.prometheus import parse_prometheus_text
 from repro.rados.placement import locate
+from tests.tape import record_tape, run_load, tape_digest
 
 # Captured from the commit immediately before the store refactor: the
 # (send count, sha256) of the full network tape for the workload below
@@ -35,19 +34,9 @@ GOLDEN_DIGEST = \
 
 def test_default_memstore_schedule_matches_prerefactor_tape():
     c = MalacologyCluster.build(osds=3, mdss=1, mons=3, seed=1234)
-    tape = []
-    orig = c.net.send
+    tape = record_tape(c)
 
-    def spy(src, dst, msg):
-        tape.append((round(c.sim.now, 9), src, dst,
-                     getattr(msg, "method", None)
-                     or getattr(msg, "kind", None)))
-        return orig(src, dst, msg)
-
-    c.net.send = spy
-    client = c.new_client("load")
-
-    def work():
+    def work(client):
         yield from client.fs_mkdir("/d")
         for i in range(10):
             yield from client.fs_create(f"/d/f{i}")
@@ -61,12 +50,8 @@ def test_default_memstore_schedule_matches_prerefactor_tape():
             yield from client.rados_append("data", "log", b"x" * 16)
         yield from client.rados_omap_set("data", "obj0", "k", {"v": 1})
 
-    c.sim.run_until_complete(client.do(work()))
-    c.run(10.0)
-    h = hashlib.sha256()
-    for entry in tape:
-        h.update(repr(entry).encode())
-    assert (len(tape), h.hexdigest()) == (GOLDEN_SENDS, GOLDEN_DIGEST)
+    run_load(c, work)
+    assert tape_digest(tape) == (GOLDEN_SENDS, GOLDEN_DIGEST)
 
 
 # ----------------------------------------------------------------------

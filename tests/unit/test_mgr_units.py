@@ -15,6 +15,7 @@ from repro.mgr.health import (
     HEALTH_OK,
     HEALTH_WARN,
     CapRevokeStuckCheck,
+    ChaosNemesisCheck,
     ClusterSample,
     DaemonUnreachableCheck,
     HealthReport,
@@ -228,6 +229,20 @@ def test_subtree_imbalance_check():
                "mds1": {"gauges": {"mds.load": 1.0}}})
     assert SubtreeImbalanceCheck(ratio=4.0,
                                  min_load=50.0).evaluate(tiny) is None
+
+
+def test_chaos_nemesis_check_fires_only_for_ops_it_can_inject():
+    def chaos(armed, ops):
+        return _sample(chaos={"armed": armed, "schedule": "s", "ops": ops,
+                              "injector_faults": 0, "store_faults": 0})
+
+    res = ChaosNemesisCheck().evaluate(chaos(armed=True, ops=3))
+    assert res is not None and res.status == HEALTH_WARN
+    assert "3 ops" in res.summary
+    # An empty schedule injects nothing; a disarmed one is over.
+    assert ChaosNemesisCheck().evaluate(chaos(armed=True, ops=0)) is None
+    assert ChaosNemesisCheck().evaluate(chaos(armed=False, ops=3)) is None
+    assert ChaosNemesisCheck().evaluate(_sample()) is None
 
 
 def test_evaluate_health_aggregates_worst():

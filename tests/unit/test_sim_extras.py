@@ -34,6 +34,22 @@ def test_run_until_complete_respects_time_limit():
         sim.run_until_complete(proc, limit=10.0)
 
 
+def test_run_until_complete_dispatches_nothing_past_its_limit():
+    sim = Simulator()
+
+    def slow():
+        while True:
+            yield Timeout(1000.0)
+
+    proc = sim.spawn(slow())
+    with pytest.raises(RuntimeError, match="time limit"):
+        sim.run_until_complete(proc, limit=10.0)
+    assert sim.now <= 10.0
+    # The event past the limit is still queued, not lost.
+    sim.run(until=1000.0)
+    assert sim.now == 1000.0 and not proc.done
+
+
 def test_stop_halts_run_midway():
     sim = Simulator()
     seen = []
