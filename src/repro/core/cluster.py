@@ -26,12 +26,7 @@ from repro.errors import MalacologyError
 from repro.mds.client import FsClient
 from repro.mds.server import MDS, METADATA_POOL
 from repro.mgr.daemon import MgrDaemon
-from repro.mgr.health import (
-    HealthCheck,
-    default_checks,
-    evaluate_health,
-    sample_cluster,
-)
+from repro.mgr.health import evaluate_health, sample_cluster
 from repro.monitor.monitor import Monitor, MonitorClient
 from repro.msg import Daemon
 from repro.rados.client import RadosClient
@@ -91,7 +86,7 @@ class MalacologyCluster:
               pools: Optional[Dict[str, Dict[str, Any]]] = None,
               latency: Optional[LatencyModel] = None,
               mon_backing: str = "ram", mgr: bool = False,
-              mgr_interval: float = 2.0, changelog: bool = False,
+              changelog: bool = False,
               sanitize: Optional[bool] = None,
               profile: bool = False) -> "MalacologyCluster":
         sim = Simulator(seed=seed)
@@ -148,32 +143,19 @@ class MalacologyCluster:
             # network RNG stream (endpoint latency override) and its
             # ticker is jitter-free, the other daemons' schedules are
             # identical with or without it.
-            cluster.enable_mgr(interval=mgr_interval)
+            cluster.enable_mgr()
         sim.run(until=sim.now + 1.0)  # let maps settle everywhere
         return cluster
 
-    def enable_mgr(self, interval: float = 2.0,
-                   checks: Optional[List[HealthCheck]] = None,
-                   name: str = "mgr0") -> MgrDaemon:
+    def enable_mgr(self, name: str = "mgr0") -> MgrDaemon:
         """Attach a manager daemon scraping every booted daemon.
 
         Does not advance simulated time; run the sim (or call
         ``run()``) afterwards to let it boot and scrape.
         """
-        if self.mgr is not None:
-            return self.mgr
-        targets: Dict[str, str] = {}
-        for m in self.mons:
-            targets[m.name] = "mon"
-        for o in self.osds:
-            targets[o.name] = "osd"
-        for d in self.mdss:
-            targets[d.name] = "mds"
-        for d in self.changelog_daemons():
-            targets[d.name] = "changelog"
-        self.mgr = MgrDaemon(self.sim, self.net, name, self.mon_names,
-                             targets, checks=checks,
-                             scrape_interval=interval)
+        if self.mgr is None:
+            self.mgr = MgrDaemon(self.sim, self.net, name,
+                                 self.mon_names, self.roles())
         return self.mgr
 
     def enable_changelog(self, shards: int = 4, audit: bool = True,
@@ -205,6 +187,17 @@ class MalacologyCluster:
         extra = [self.changelog_writer] \
             if self.changelog_writer is not None else []
         return [*extra, *self.changelog_consumers]
+
+    def roles(self) -> Dict[str, str]:
+        """Daemon name -> health role, for every daemon a health
+        sample covers (the mgr's scrape targets)."""
+        return {d.name: role
+                for role, daemons in (("mon", self.mons),
+                                      ("osd", self.osds),
+                                      ("mds", self.mdss),
+                                      ("changelog",
+                                       self.changelog_daemons()))
+                for d in daemons}
 
     @property
     def audit_pipeline(self) -> Optional[AuditPipeline]:
@@ -330,13 +323,12 @@ class MalacologyCluster:
         """Cluster health report (``ceph health detail`` analogue).
 
         With a mgr: its last scrape's report.  Without one: evaluate
-        the default checks against an out-of-band sample right now —
-        no messages, no simulated time.
+        the check table against an out-of-band sample right now — no
+        messages, no simulated time.
         """
         if self.mgr is not None and self.mgr.alive:
             return self.mgr.admin_command("health")
-        sample = sample_cluster(self)
-        return evaluate_health(default_checks(), sample).to_dict()
+        return evaluate_health(sample_cluster(self)).to_dict()
 
     def status(self) -> Dict[str, Any]:
         """``ceph -s`` analogue (requires an enabled mgr)."""

@@ -34,9 +34,7 @@ from repro.mgr.health import (
     HEALTH_OK,
     HEALTH_WARN,
     ClusterSample,
-    HealthCheck,
     HealthReport,
-    default_checks,
     evaluate_health,
 )
 from repro.mgr.prometheus import prometheus_export
@@ -56,23 +54,17 @@ class MgrDaemon(Daemon, MonitorClient):
 
     SCRAPE_INTERVAL = 2.0
     SCRAPE_TIMEOUT = 1.0
-    SERIES_CAPACITY = 256
     AUDIT_CAPACITY = 4096
     #: Fixed one-way delay for all mgr traffic (see module docstring).
     MGR_LATENCY = 100e-6
 
     def __init__(self, sim: Simulator, network: Network, name: str,
-                 mon_names: List[str], targets: Dict[str, str],
-                 checks: Optional[List[HealthCheck]] = None,
-                 scrape_interval: Optional[float] = None):
+                 mon_names: List[str], targets: Dict[str, str]):
         super().__init__(sim, network, name)
         network.set_latency_override(name, FixedLatency(self.MGR_LATENCY))
         self.init_mon_client(mon_names)
-        #: daemon name -> role ("mon" / "osd" / "mds").
+        #: daemon name -> role (``MalacologyCluster.roles()``).
         self.targets = dict(targets)
-        self.checks = list(checks) if checks is not None \
-            else default_checks()
-        self.scrape_interval = scrape_interval or self.SCRAPE_INTERVAL
         self.booted = False
 
         # Volatile aggregation state (a mgr is a pure observer: all of
@@ -108,7 +100,7 @@ class MgrDaemon(Daemon, MonitorClient):
         yield from self.mon_subscribe(["mon", "osd", "mds"])
         yield from self.mon_get_map("osd")
         yield from self.mon_get_map("mds")
-        self.every(self.scrape_interval, self._scrape_tick,
+        self.every(self.SCRAPE_INTERVAL, self._scrape_tick,
                    name=f"{self.name}:scrape")
         self.booted = True
 
@@ -126,23 +118,17 @@ class MgrDaemon(Daemon, MonitorClient):
                                        timeout=self.SCRAPE_TIMEOUT)
             except MalacologyError as exc:
                 # Mid-scrape crash/timeout: flag it, keep scraping.
-                sample.failed[target] = f"{exc.code}: {exc}"
+                sample.record_failure(target, exc)
                 self.perf.incr("mgr.scrape.failed")
                 continue
-            sample.dumps[target] = dump
-            sample.series_of(target).observe_dump(self.sim.now, dump)
+            sample.record_dump(target, dump, self.sim.now)
             if self.targets[target] == "mds":
                 yield from self._collect_audit(target)
-        sample.osdmap = self.cached_maps.get("osd")
-        sample.mdsmap = self.cached_maps.get("mds")
-        # Out-of-band reads (no messages): a fault-free managed run
-        # stays schedule-identical whether or not these are captured.
-        engine = self.sim.chaos
-        if engine is not None:
-            sample.chaos = engine.status()
-        sample.netstats = self.network.stats()
+        sample.record_cluster(self.sim, self.network,
+                              self.cached_maps.get("osd"),
+                              self.cached_maps.get("mds"))
         self._last_dumps = dict(sample.dumps)
-        report = evaluate_health(self.checks, sample)
+        report = evaluate_health(sample)
         yield from self._log_transitions(report)
         self.last_sample = sample
         self.last_report = report

@@ -1,25 +1,32 @@
-"""Pluggable cluster health checks (Ceph mgr's ``health`` module).
+"""Cluster health checks (Ceph mgr's ``health`` module).
 
-A :class:`HealthCheck` looks at one :class:`ClusterSample` — the most
-recent scrape of every daemon's ``telemetry.dump`` plus the cluster
-maps and the per-daemon time series — and either stays silent (healthy)
-or returns a :class:`HealthCheckResult` with a severity and structured
-detail.  The overall cluster status is the worst individual result:
+A check looks at one :class:`ClusterSample` — the most recent scrape
+of every daemon's ``telemetry.dump`` plus the cluster maps and the
+per-daemon time series — and either stays silent (healthy) or returns
+a :class:`HealthCheckResult` with a severity and structured detail.
+The overall cluster status is the worst individual result:
 ``HEALTH_OK`` < ``HEALTH_WARN`` < ``HEALTH_ERR``, exactly the ladder
 ``ceph -s`` reports.
 
-Checks are pure functions of the sample: no simulated time, no RNG, no
-messages.  That is what lets the same checks run both inside the mgr
-daemon (fed by in-band scrapes) and out-of-band at the end of a
-benchmark via :func:`sample_cluster`.
+The checks form one fixed table, :data:`CHECKS`, run in order by
+:func:`evaluate_health`; their thresholds are module constants.
+Checks are pure functions of the sample: no simulated time, no RNG,
+no messages.  That is what lets the same table run both inside the mgr
+daemon (fed by in-band scrapes) and out-of-band via
+:func:`sample_cluster`; both fill the sample through the same
+``ClusterSample.record_*`` steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Optional
 
+from repro.errors import DaemonDown, MalacologyError
 from repro.mgr.timeseries import DaemonSeries
+from repro.sim.kernel import Simulator
+from repro.sim.network import Network
 
 HEALTH_OK = "HEALTH_OK"
 HEALTH_WARN = "HEALTH_WARN"
@@ -47,7 +54,7 @@ class ClusterSample:
     #: daemon name -> error string for daemons the scrape could not
     #: reach (crashed or unknown mid-scrape).
     failed: Dict[str, str] = field(default_factory=dict)
-    #: daemon name -> role ("mon" / "osd" / "mds" / "client" / "mgr").
+    #: daemon name -> role ("mon" / "osd" / "mds" / "changelog").
     roles: Dict[str, str] = field(default_factory=dict)
     #: Latest cluster maps (may be None before the first map arrives).
     osdmap: Optional[Any] = None
@@ -69,6 +76,29 @@ class ClusterSample:
         if s is None:
             s = self.series[daemon] = DaemonSeries()
         return s
+
+    def record_dump(self, daemon: str, dump: Dict[str, Any],
+                    t: float) -> None:
+        """One daemon answered the scrape at simulated time ``t``."""
+        self.dumps[daemon] = dump
+        self.series_of(daemon).observe_dump(t, dump)
+
+    def record_failure(self, daemon: str, exc: MalacologyError) -> None:
+        """One daemon could not be scraped (crashed or timed out)."""
+        self.failed[daemon] = f"{exc.code}: {exc}"
+
+    def record_cluster(self, sim: Simulator, network: Network,
+                       osdmap: Any, mdsmap: Any) -> None:
+        """The cluster maps plus the chaos and network planes.
+
+        Plain reads (no messages), so a fault-free managed run stays
+        schedule-identical whether or not they are captured.
+        """
+        self.osdmap = osdmap
+        self.mdsmap = mdsmap
+        if sim.chaos is not None:
+            self.chaos = sim.chaos.status()
+        self.netstats = network.stats()
 
 
 @dataclass(frozen=True)
@@ -108,250 +138,245 @@ class HealthReport:
         }
 
 
-class HealthCheck:
-    """Base class: subclasses override :meth:`evaluate`.
+# ----------------------------------------------------------------------
+# Shared shapes
+# ----------------------------------------------------------------------
+#: Scrapes a gauge needs before a window over it means anything.
+MIN_SCRAPES = 3
 
-    ``name`` is the stable check identifier (``OSD_DOWN`` style, like
-    Ceph's health-check codes); it keys transition tracking and the
-    cluster-log messages.
+_NO_SERIES = DaemonSeries()
+
+Probe = Callable[[DaemonSeries, Dict[str, Any]], Any]
+
+
+def _per_daemon(sample: ClusterSample, role: str,
+                probe: Probe) -> Dict[str, Any]:
+    """daemon -> ``probe(series, gauges)`` for each ``role`` daemon the
+    probe flags (returns non-None for).
+
+    A daemon with no retained series or no dump is probed with empty
+    ones, so a probe only has to handle a missing metric.
     """
-
-    name = "CHECK"
-
-    def evaluate(self, sample: ClusterSample
-                 ) -> Optional[HealthCheckResult]:
-        raise NotImplementedError
-
-    def result(self, status: str, summary: str,
-               **detail: Any) -> HealthCheckResult:
-        return HealthCheckResult(name=self.name, status=status,
-                                 summary=summary, detail=detail)
+    hits = {}
+    for daemon in sample.named(role):
+        gauges = sample.dumps.get(daemon, {}).get("gauges", {})
+        hit = probe(sample.series.get(daemon, _NO_SERIES), gauges)
+        if hit is not None:
+            hits[daemon] = hit
+    return hits
 
 
-class OsdDownCheck(HealthCheck):
+def _delta(series: DaemonSeries, counter: str, window: float) -> float:
+    """How far ``counter`` moved over the window (0.0 when absent)."""
+    readings = series.maybe(f"counter:{counter}")
+    return readings.delta(window) if readings else 0.0
+
+
+def _stuck_floor(series: DaemonSeries, gauge: str,
+                 progress: Optional[str],
+                 window: float) -> Optional[float]:
+    """``gauge``'s lowest reading over the window, if nothing moved.
+
+    None before :data:`MIN_SCRAPES` readings of the gauge, or when the
+    ``progress`` counter (if any) advanced inside the window — the
+    work the gauge waits on is getting done.
+    """
+    readings = series.maybe(f"gauge:{gauge}")
+    if readings is None or len(readings) < MIN_SCRAPES:
+        return None
+    if progress is not None and _delta(series, progress, window) > 0:
+        return None
+    return readings.min_over(window)
+
+
+def _number(value: Any) -> Optional[float]:
+    """A numeric gauge as float; None for unset or non-numeric ones."""
+    return float(value) if isinstance(value, (int, float)) else None
+
+
+def _result(name: str, status: str, summary: str,
+            **detail: Any) -> HealthCheckResult:
+    return HealthCheckResult(name=name, status=status, summary=summary,
+                             detail=detail)
+
+
+# ----------------------------------------------------------------------
+# The checks (run in table order; see CHECKS)
+# ----------------------------------------------------------------------
+def osd_down(sample: ClusterSample) -> Optional[HealthCheckResult]:
     """OSDs marked down in the OSD map (peer pings reported them)."""
-
-    name = "OSD_DOWN"
-
-    def evaluate(self, sample: ClusterSample
-                 ) -> Optional[HealthCheckResult]:
-        m = sample.osdmap
-        if m is None:
-            return None
-        down = sorted(name for name, state in m.osds.items()
-                      if state != "up")
-        if not down:
-            return None
-        return self.result(
-            HEALTH_WARN, f"{len(down)} osd(s) down: {', '.join(down)}",
-            osds=down, epoch=m.epoch)
+    m = sample.osdmap
+    if m is None:
+        return None
+    down = sorted(name for name, state in m.osds.items()
+                  if state != "up")
+    if not down:
+        return None
+    return _result(
+        "OSD_DOWN", HEALTH_WARN,
+        f"{len(down)} osd(s) down: {', '.join(down)}",
+        osds=down, epoch=m.epoch)
 
 
-class DaemonUnreachableCheck(HealthCheck):
-    """Daemons the last scrape could not reach (crashed mid-scrape)."""
-
-    name = "DAEMON_UNREACHABLE"
-
-    def evaluate(self, sample: ClusterSample
-                 ) -> Optional[HealthCheckResult]:
-        if not sample.failed:
-            return None
-        names = sorted(sample.failed)
-        return self.result(
-            HEALTH_WARN,
-            f"scrape failed for {len(names)} daemon(s): "
-            f"{', '.join(names)}",
-            daemons={n: sample.failed[n] for n in names})
+def daemon_unreachable(sample: ClusterSample
+                       ) -> Optional[HealthCheckResult]:
+    """Daemons the last scrape could not reach (crashed)."""
+    if not sample.failed:
+        return None
+    names = sorted(sample.failed)
+    return _result(
+        "DAEMON_UNREACHABLE", HEALTH_WARN,
+        f"scrape failed for {len(names)} daemon(s): "
+        f"{', '.join(names)}",
+        daemons={n: sample.failed[n] for n in names})
 
 
-class PaxosStallCheck(HealthCheck):
+PAXOS_WINDOW = 10.0
+
+
+def paxos_stall(sample: ClusterSample) -> Optional[HealthCheckResult]:
     """A monitor sits on pending transactions but commits nothing.
 
     Fires when some monitor has held pending client transactions for a
-    full observation window while its ``paxos.commit`` counter did not
-    advance — consensus is wedged, which is an error, not a warning.
+    full window while its ``paxos.commit`` counter did not advance —
+    consensus is wedged, which is an error, not a warning.  Reports
+    each monitor's latest backlog.
     """
-
-    name = "PAXOS_STALL"
-
-    def __init__(self, window: float = 10.0, min_scrapes: int = 3):
-        self.window = window
-        self.min_scrapes = min_scrapes
-
-    def evaluate(self, sample: ClusterSample
-                 ) -> Optional[HealthCheckResult]:
-        stalled = {}
-        for mon in sample.named("mon"):
-            series = sample.series.get(mon)
-            if series is None:
-                continue
-            pending = series.maybe("gauge:paxos.pending_txns")
-            if pending is None or len(pending) < self.min_scrapes:
-                continue
-            if pending.min_over(self.window) <= 0:
-                continue  # drained at some point in the window
-            commits = series.maybe("counter:paxos.commit")
-            committed = commits.delta(self.window) if commits else 0.0
-            if committed <= 0:
-                latest = pending.latest()
-                stalled[mon] = latest[1] if latest else 0.0
-        if not stalled:
+    def probe(series, gauges):
+        floor = _stuck_floor(series, "paxos.pending_txns",
+                             "paxos.commit", PAXOS_WINDOW)
+        if floor is None or floor <= 0:
             return None
-        return self.result(
-            HEALTH_ERR,
-            f"paxos stalled on {', '.join(sorted(stalled))}: pending "
-            f"transactions but no commits for {self.window:.0f}s",
-            monitors=stalled, window=self.window)
+        return series.maybe("gauge:paxos.pending_txns").latest()[1]
+
+    stalled = _per_daemon(sample, "mon", probe)
+    if not stalled:
+        return None
+    return _result(
+        "PAXOS_STALL", HEALTH_ERR,
+        f"paxos stalled on {', '.join(sorted(stalled))}: pending "
+        f"transactions but no commits for {PAXOS_WINDOW:.0f}s",
+        monitors=stalled, window=PAXOS_WINDOW)
 
 
-class MdsLatencyRegressionCheck(HealthCheck):
+MDS_LATENCY_FACTOR = 3.0
+MDS_LATENCY_RECENT = 10.0
+MDS_LATENCY_MIN_OPS = 20.0
+
+
+def mds_latency_regression(sample: ClusterSample
+                           ) -> Optional[HealthCheckResult]:
     """Recent MDS request latency regressed against its own history."""
-
-    name = "MDS_LATENCY_REGRESSION"
-
-    def __init__(self, factor: float = 3.0, recent: float = 10.0,
-                 min_ops: float = 20.0):
-        self.factor = factor
-        self.recent = recent
-        self.min_ops = min_ops
-
-    def evaluate(self, sample: ClusterSample
-                 ) -> Optional[HealthCheckResult]:
-        regressed = {}
-        for mds in sample.named("mds"):
-            series = sample.series.get(mds)
-            if series is None:
-                continue
-            mean = series.maybe("latency:rpc.mds_req:mean")
-            count = series.maybe("latency:rpc.mds_req:count")
-            if mean is None or count is None or len(mean) < 4:
-                continue
-            if count.delta(self.recent) < self.min_ops:
-                continue  # too little recent traffic to judge
-            baseline = mean.mean()
-            current = mean.mean(self.recent)
-            if baseline > 0 and current > self.factor * baseline:
-                regressed[mds] = {"baseline": baseline,
-                                  "recent": current}
-        if not regressed:
+    def probe(series, gauges):
+        mean = series.maybe("latency:rpc.mds_req:mean")
+        count = series.maybe("latency:rpc.mds_req:count")
+        if mean is None or count is None or len(mean) < 4:
             return None
-        return self.result(
-            HEALTH_WARN,
-            f"mds op latency regressed >{self.factor:.0f}x on "
-            f"{', '.join(sorted(regressed))}",
-            mds=regressed, factor=self.factor)
+        if count.delta(MDS_LATENCY_RECENT) < MDS_LATENCY_MIN_OPS:
+            return None  # too little recent traffic to judge
+        baseline = mean.mean()
+        current = mean.mean(MDS_LATENCY_RECENT)
+        if baseline > 0 and current > MDS_LATENCY_FACTOR * baseline:
+            return {"baseline": baseline, "recent": current}
+        return None
+
+    regressed = _per_daemon(sample, "mds", probe)
+    if not regressed:
+        return None
+    return _result(
+        "MDS_LATENCY_REGRESSION", HEALTH_WARN,
+        f"mds op latency regressed >{MDS_LATENCY_FACTOR:.0f}x on "
+        f"{', '.join(sorted(regressed))}",
+        mds=regressed, factor=MDS_LATENCY_FACTOR)
 
 
-class CapRevokeStuckCheck(HealthCheck):
+CAP_STUCK_FOR = 6.0
+
+
+def cap_revoke_stuck(sample: ClusterSample
+                     ) -> Optional[HealthCheckResult]:
     """Capability revocations outstanding for longer than the window.
 
     A cooperative revoke that never completes means a client is dead or
     misbehaving and the Shared Resource interface is blocked on it.
     """
+    def probe(series, gauges):
+        floor = _stuck_floor(series, "caps.revoking", None,
+                             CAP_STUCK_FOR)
+        return floor if floor is not None and floor > 0 else None
 
-    name = "CAP_REVOKE_STUCK"
-
-    def __init__(self, stuck_for: float = 6.0, min_scrapes: int = 3):
-        self.stuck_for = stuck_for
-        self.min_scrapes = min_scrapes
-
-    def evaluate(self, sample: ClusterSample
-                 ) -> Optional[HealthCheckResult]:
-        stuck = {}
-        for mds in sample.named("mds"):
-            series = sample.series.get(mds)
-            if series is None:
-                continue
-            revoking = series.maybe("gauge:caps.revoking")
-            if revoking is None or len(revoking) < self.min_scrapes:
-                continue
-            floor = revoking.min_over(self.stuck_for)
-            if floor > 0:
-                stuck[mds] = floor
-        if not stuck:
-            return None
-        return self.result(
-            HEALTH_WARN,
-            f"cap revokes stuck >{self.stuck_for:.0f}s on "
-            f"{', '.join(sorted(stuck))}",
-            mds=stuck, stuck_for=self.stuck_for)
+    stuck = _per_daemon(sample, "mds", probe)
+    if not stuck:
+        return None
+    return _result(
+        "CAP_REVOKE_STUCK", HEALTH_WARN,
+        f"cap revokes stuck >{CAP_STUCK_FOR:.0f}s on "
+        f"{', '.join(sorted(stuck))}",
+        mds=stuck, stuck_for=CAP_STUCK_FOR)
 
 
-class SequencerChurnCheck(HealthCheck):
+SEAL_MAX_RATE = 1.0
+SEAL_WINDOW = 10.0
+
+
+def zlog_epoch_churn(sample: ClusterSample
+                     ) -> Optional[HealthCheckResult]:
     """ZLog epoch churn: sustained seal traffic on the OSDs.
 
     Seals are rare in steady state (log creation, sequencer failover).
     A sustained seal rate means sequencer ownership is flapping and
     every client append is paying the recovery path.
     """
+    def probe(series, gauges):
+        seals = series.maybe("counter:objclass.zlog.seal")
+        return seals.rate(SEAL_WINDOW) if seals is not None else None
 
-    name = "ZLOG_EPOCH_CHURN"
-
-    def __init__(self, max_rate: float = 1.0, window: float = 10.0):
-        self.max_rate = max_rate
-        self.window = window
-
-    def evaluate(self, sample: ClusterSample
-                 ) -> Optional[HealthCheckResult]:
-        total = 0.0
-        per_osd = {}
-        for osd in sample.named("osd"):
-            series = sample.series.get(osd)
-            if series is None:
-                continue
-            seals = series.maybe("counter:objclass.zlog.seal")
-            if seals is None:
-                continue
-            rate = seals.rate(self.window)
-            if rate > 0:
-                per_osd[osd] = rate
-            total += rate
-        if total <= self.max_rate:
-            return None
-        return self.result(
-            HEALTH_WARN,
-            f"zlog epoch churn: {total:.1f} seals/s cluster-wide "
-            f"(threshold {self.max_rate:.1f})",
-            seal_rate=total, per_osd=per_osd)
+    rates = _per_daemon(sample, "osd", probe)
+    total = sum(rates.values(), 0.0)
+    if total <= SEAL_MAX_RATE:
+        return None
+    return _result(
+        "ZLOG_EPOCH_CHURN", HEALTH_WARN,
+        f"zlog epoch churn: {total:.1f} seals/s cluster-wide "
+        f"(threshold {SEAL_MAX_RATE:.1f})",
+        seal_rate=total,
+        per_osd={osd: rate for osd, rate in rates.items() if rate > 0})
 
 
-class SubtreeImbalanceCheck(HealthCheck):
+IMBALANCE_RATIO = 4.0
+IMBALANCE_MIN_LOAD = 50.0
+
+
+def mds_imbalance(sample: ClusterSample
+                  ) -> Optional[HealthCheckResult]:
     """Metadata load spread across ranks beyond the tolerated ratio.
 
     The condition Mantle exists to fix; if it persists, either no
     balancer is installed or the policy is not moving load.
     """
-
-    name = "MDS_IMBALANCE"
-
-    def __init__(self, ratio: float = 4.0, min_load: float = 50.0):
-        self.ratio = ratio
-        self.min_load = min_load
-
-    def evaluate(self, sample: ClusterSample
-                 ) -> Optional[HealthCheckResult]:
-        loads = {}
-        for mds in sample.named("mds"):
-            dump = sample.dumps.get(mds)
-            if dump is None:
-                continue
-            load = dump.get("gauges", {}).get("mds.load")
-            if isinstance(load, (int, float)):
-                loads[mds] = float(load)
-        if len(loads) < 2:
-            return None
-        top = max(loads.values())
-        bottom = min(loads.values())
-        if top < self.min_load or top <= self.ratio * max(bottom, 1e-9):
-            return None
-        return self.result(
-            HEALTH_WARN,
-            f"mds load imbalance {top:.0f} vs {bottom:.0f} exceeds "
-            f"{self.ratio:.0f}x",
-            loads=loads, ratio=self.ratio)
+    loads = _per_daemon(sample, "mds",
+                        lambda series, gauges:
+                        _number(gauges.get("mds.load")))
+    if len(loads) < 2:
+        return None
+    top = max(loads.values())
+    bottom = min(loads.values())
+    if top < IMBALANCE_MIN_LOAD \
+            or top <= IMBALANCE_RATIO * max(bottom, 1e-9):
+        return None
+    return _result(
+        "MDS_IMBALANCE", HEALTH_WARN,
+        f"mds load imbalance {top:.0f} vs {bottom:.0f} exceeds "
+        f"{IMBALANCE_RATIO:.0f}x",
+        loads=loads, ratio=IMBALANCE_RATIO)
 
 
-class ChangelogConsumerLagCheck(HealthCheck):
+CHANGELOG_MAX_LAG = 200.0
+_LAG = "changelog.lag."
+
+
+def changelog_consumer_lag(sample: ClusterSample
+                           ) -> Optional[HealthCheckResult]:
     """A changelog consumer has fallen too far behind the stream.
 
     The writer publishes one ``changelog.lag.<cursor>`` gauge per
@@ -359,34 +384,33 @@ class ChangelogConsumerLagCheck(HealthCheck):
     lag means a consumer is slow, paused, or dead — and because trim
     cannot pass the slowest cursor, the backlog it pins only grows.
     """
+    def probe(series, gauges):
+        lags = {name[len(_LAG):]: _number(value)
+                for name, value in gauges.items()
+                if name.startswith(_LAG)}
+        over = {cursor: lag for cursor, lag in lags.items()
+                if lag is not None and lag > CHANGELOG_MAX_LAG}
+        return over or None
 
-    name = "CHANGELOG_CONSUMER_LAG"
-
-    def __init__(self, max_lag: float = 200.0):
-        self.max_lag = max_lag
-
-    def evaluate(self, sample: ClusterSample
-                 ) -> Optional[HealthCheckResult]:
-        lagging: Dict[str, float] = {}
-        for daemon in sample.named("changelog"):
-            gauges = sample.dumps.get(daemon, {}).get("gauges", {})
-            for name, value in gauges.items():
-                if not name.startswith("changelog.lag."):
-                    continue
-                if isinstance(value, (int, float)) \
-                        and value > self.max_lag:
-                    cursor = name[len("changelog.lag."):]
-                    lagging[cursor] = float(value)
-        if not lagging:
-            return None
-        return self.result(
-            HEALTH_WARN,
-            f"changelog consumer(s) lagging >{self.max_lag:.0f} "
-            f"records: {', '.join(sorted(lagging))}",
-            cursors=lagging, max_lag=self.max_lag)
+    lagging = {cursor: lag
+               for over in _per_daemon(sample, "changelog",
+                                       probe).values()
+               for cursor, lag in over.items()}
+    if not lagging:
+        return None
+    return _result(
+        "CHANGELOG_CONSUMER_LAG", HEALTH_WARN,
+        f"changelog consumer(s) lagging >{CHANGELOG_MAX_LAG:.0f} "
+        f"records: {', '.join(sorted(lagging))}",
+        cursors=lagging, max_lag=CHANGELOG_MAX_LAG)
 
 
-class ChangelogTrimStalledCheck(HealthCheck):
+TRIM_MIN_RETAINED = 500.0
+TRIM_WINDOW = 10.0
+
+
+def changelog_trim_stalled(sample: ClusterSample
+                           ) -> Optional[HealthCheckResult]:
     """Records accumulate but trim reclaims nothing.
 
     Fires when the writer's retained-record gauge stays above the
@@ -394,83 +418,63 @@ class ChangelogTrimStalledCheck(HealthCheck):
     trim counter did not move — the stream is growing without bound
     (e.g. a registered cursor stopped acking).
     """
-
-    name = "CHANGELOG_TRIM_STALLED"
-
-    def __init__(self, min_retained: float = 500.0,
-                 window: float = 10.0, min_scrapes: int = 3):
-        self.min_retained = min_retained
-        self.window = window
-        self.min_scrapes = min_scrapes
-
-    def evaluate(self, sample: ClusterSample
-                 ) -> Optional[HealthCheckResult]:
-        stalled: Dict[str, float] = {}
-        for daemon in sample.named("changelog"):
-            series = sample.series.get(daemon)
-            if series is None:
-                continue
-            retained = series.maybe("gauge:changelog.retained")
-            if retained is None or len(retained) < self.min_scrapes:
-                continue
-            floor = retained.min_over(self.window)
-            if floor < self.min_retained:
-                continue
-            appended = series.maybe("counter:changelog.appended")
-            trimmed = series.maybe("counter:changelog.trimmed")
-            grew = appended.delta(self.window) if appended else 0.0
-            reclaimed = trimmed.delta(self.window) if trimmed else 0.0
-            if grew > 0 and reclaimed <= 0:
-                stalled[daemon] = floor
-        if not stalled:
+    def probe(series, gauges):
+        floor = _stuck_floor(series, "changelog.retained",
+                             "changelog.trimmed", TRIM_WINDOW)
+        if floor is None or floor < TRIM_MIN_RETAINED \
+                or _delta(series, "changelog.appended",
+                          TRIM_WINDOW) <= 0:
             return None
-        return self.result(
-            HEALTH_WARN,
-            f"changelog trim stalled: >{self.min_retained:.0f} records "
-            f"retained with no reclaim for {self.window:.0f}s on "
-            f"{', '.join(sorted(stalled))}",
-            writers=stalled, window=self.window)
+        return floor
+
+    stalled = _per_daemon(sample, "changelog", probe)
+    if not stalled:
+        return None
+    return _result(
+        "CHANGELOG_TRIM_STALLED", HEALTH_WARN,
+        f"changelog trim stalled: >{TRIM_MIN_RETAINED:.0f} records "
+        f"retained with no reclaim for {TRIM_WINDOW:.0f}s on "
+        f"{', '.join(sorted(stalled))}",
+        writers=stalled, window=TRIM_WINDOW)
 
 
-class CacheTierFullCheck(HealthCheck):
+CACHE_FULL_RATIO = 1.0
+
+
+def cache_tier_full(sample: ClusterSample
+                    ) -> Optional[HealthCheckResult]:
     """A pool's cache tier is pinned over its capacity by dirty data.
 
     The write-back tier may exceed ``capacity`` between flusher ticks
     (dirty entries are never evicted), but a reading above the full
     ratio at scrape time means write-back is not keeping up with the
     ingest rate and every miss is landing in an already-full cache.
+    OSDs hosting no cache tier report the utilization gauge as None.
     """
-
-    name = "CACHE_TIER_FULL"
-
-    def __init__(self, full_ratio: float = 1.0):
-        self.full_ratio = full_ratio
-
-    def evaluate(self, sample: ClusterSample
-                 ) -> Optional[HealthCheckResult]:
-        full: Dict[str, Dict[str, float]] = {}
-        for osd in sample.named("osd"):
-            gauges = sample.dumps.get(osd, {}).get("gauges", {})
-            util = gauges.get("store.cache.utilization")
-            if not isinstance(util, (int, float)):
-                continue  # hosts no cache tier (gauge is None)
-            if util > self.full_ratio:
-                dirty = gauges.get("store.cache.dirty")
-                full[osd] = {
-                    "utilization": float(util),
-                    "dirty": float(dirty)
-                    if isinstance(dirty, (int, float)) else 0.0,
-                }
-        if not full:
+    def probe(series, gauges):
+        util = _number(gauges.get("store.cache.utilization"))
+        if util is None or util <= CACHE_FULL_RATIO:
             return None
-        return self.result(
-            HEALTH_WARN,
-            f"cache tier over capacity on {', '.join(sorted(full))}: "
-            f"dirty write-back is behind",
-            osds=full, full_ratio=self.full_ratio)
+        dirty = _number(gauges.get("store.cache.dirty"))
+        return {"utilization": util,
+                "dirty": dirty if dirty is not None else 0.0}
+
+    full = _per_daemon(sample, "osd", probe)
+    if not full:
+        return None
+    return _result(
+        "CACHE_TIER_FULL", HEALTH_WARN,
+        f"cache tier over capacity on {', '.join(sorted(full))}: "
+        f"dirty write-back is behind",
+        osds=full, full_ratio=CACHE_FULL_RATIO)
 
 
-class CompactionStalledCheck(HealthCheck):
+COMPACTION_MIN_RATIO = 0.5
+COMPACTION_WINDOW = 6.0
+
+
+def compaction_stalled(sample: ClusterSample
+                       ) -> Optional[HealthCheckResult]:
     """A log-structured store carries garbage but never compacts.
 
     Fires when an OSD's worst eligible garbage ratio stays at or above
@@ -478,45 +482,26 @@ class CompactionStalledCheck(HealthCheck):
     compaction counter did not move — the maintenance ticker is dead
     or wedged and read amplification only grows.
     """
+    def probe(series, gauges):
+        floor = _stuck_floor(series, "store.log.garbage_ratio",
+                             "store.logstructured.compaction",
+                             COMPACTION_WINDOW)
+        return floor if floor is not None \
+            and floor >= COMPACTION_MIN_RATIO else None
 
-    name = "COMPACTION_STALLED"
-
-    def __init__(self, min_ratio: float = 0.5, window: float = 6.0,
-                 min_scrapes: int = 3):
-        self.min_ratio = min_ratio
-        self.window = window
-        self.min_scrapes = min_scrapes
-
-    def evaluate(self, sample: ClusterSample
-                 ) -> Optional[HealthCheckResult]:
-        stalled: Dict[str, float] = {}
-        for osd in sample.named("osd"):
-            series = sample.series.get(osd)
-            if series is None:
-                continue
-            garbage = series.maybe("gauge:store.log.garbage_ratio")
-            if garbage is None or len(garbage) < self.min_scrapes:
-                continue
-            floor = garbage.min_over(self.window)
-            if floor < self.min_ratio:
-                continue
-            compactions = series.maybe(
-                "counter:store.logstructured.compaction")
-            reclaimed = compactions.delta(self.window) \
-                if compactions else 0.0
-            if reclaimed <= 0:
-                stalled[osd] = floor
-        if not stalled:
-            return None
-        return self.result(
-            HEALTH_WARN,
-            f"log compaction stalled on {', '.join(sorted(stalled))}: "
-            f"garbage ratio >={self.min_ratio:.2f} for "
-            f"{self.window:.0f}s with no compactions",
-            osds=stalled, window=self.window)
+    stalled = _per_daemon(sample, "osd", probe)
+    if not stalled:
+        return None
+    return _result(
+        "COMPACTION_STALLED", HEALTH_WARN,
+        f"log compaction stalled on {', '.join(sorted(stalled))}: "
+        f"garbage ratio >={COMPACTION_MIN_RATIO:.2f} for "
+        f"{COMPACTION_WINDOW:.0f}s with no compactions",
+        osds=stalled, window=COMPACTION_WINDOW)
 
 
-class ChaosNemesisCheck(HealthCheck):
+def chaos_nemesis_active(sample: ClusterSample
+                         ) -> Optional[HealthCheckResult]:
     """A nemesis schedule with at least one op is armed.
 
     Chaos runs are deliberate, but an operator looking at a sick
@@ -526,86 +511,64 @@ class ChaosNemesisCheck(HealthCheck):
     captured out-of-band.  Clusters without an engine, or armed with
     an empty schedule (which injects nothing), never fire it.
     """
-
-    name = "CHAOS_NEMESIS_ACTIVE"
-
-    def evaluate(self, sample: ClusterSample
-                 ) -> Optional[HealthCheckResult]:
-        chaos = sample.chaos
-        if not chaos or not chaos.get("armed") or not chaos.get("ops"):
-            return None
-        return self.result(
-            HEALTH_WARN,
-            f"nemesis schedule {chaos.get('schedule')!r} is armed: "
-            f"{chaos.get('ops', 0)} ops, "
-            f"{chaos.get('injector_faults', 0)} injector faults, "
-            f"{chaos.get('store_faults', 0)} store faults so far",
-            **chaos)
+    chaos = sample.chaos
+    if not chaos or not chaos.get("armed") or not chaos.get("ops"):
+        return None
+    return _result(
+        "CHAOS_NEMESIS_ACTIVE", HEALTH_WARN,
+        f"nemesis schedule {chaos.get('schedule')!r} is armed: "
+        f"{chaos.get('ops', 0)} ops, "
+        f"{chaos.get('injector_faults', 0)} injector faults, "
+        f"{chaos.get('store_faults', 0)} store faults so far",
+        **chaos)
 
 
-def default_checks() -> List[HealthCheck]:
-    """The standard check set the mgr evaluates every scrape."""
-    return [
-        OsdDownCheck(),
-        DaemonUnreachableCheck(),
-        PaxosStallCheck(),
-        MdsLatencyRegressionCheck(),
-        CapRevokeStuckCheck(),
-        SequencerChurnCheck(),
-        SubtreeImbalanceCheck(),
-        ChangelogConsumerLagCheck(),
-        ChangelogTrimStalledCheck(),
-        CacheTierFullCheck(),
-        CompactionStalledCheck(),
-        ChaosNemesisCheck(),
-    ]
+#: Every check, in report order.  The name each one reports (its
+#: ``OSD_DOWN``-style code, as in Ceph) keys the mgr's transition
+#: tracking and its cluster-log messages.
+CHECKS = (
+    osd_down,
+    daemon_unreachable,
+    paxos_stall,
+    mds_latency_regression,
+    cap_revoke_stuck,
+    zlog_epoch_churn,
+    mds_imbalance,
+    changelog_consumer_lag,
+    changelog_trim_stalled,
+    cache_tier_full,
+    compaction_stalled,
+    chaos_nemesis_active,
+)
 
 
-def evaluate_health(checks: List[HealthCheck],
-                    sample: ClusterSample) -> HealthReport:
+def evaluate_health(sample: ClusterSample) -> HealthReport:
     """Run every check against the sample; silent checks mean healthy."""
-    results = []
-    for check in checks:
-        outcome = check.evaluate(sample)
-        if outcome is not None:
-            results.append(outcome)
-    return HealthReport(time=sample.time, results=results)
+    results = [check(sample) for check in CHECKS]
+    return HealthReport(time=sample.time,
+                        results=[r for r in results if r is not None])
 
 
-def sample_cluster(cluster: Any,
-                   series: Optional[Dict[str, DaemonSeries]] = None
-                   ) -> ClusterSample:
+def sample_cluster(cluster: Any) -> ClusterSample:
     """Assemble a sample out-of-band from a booted cluster object.
 
     Uses the admin-socket path (no messages, no simulated time), so
     benchmarks can grab an end-of-run health snapshot without changing
-    the run they just measured.  ``series`` carries history across
-    repeated calls if the caller wants trend checks to participate.
+    the run they just measured.  A crashed daemon is recorded as
+    failed, as the mgr's scrape finds it, instead of being dumped.
     """
-    sample = ClusterSample(time=cluster.sim.now,
-                           series=series if series is not None else {})
-    changelog = getattr(cluster, "changelog_daemons", None)
-    extra = changelog() if callable(changelog) else []
-    for role, daemons in (("mon", cluster.mons), ("osd", cluster.osds),
-                          ("mds", cluster.mdss),
-                          ("changelog", extra)):
-        for d in daemons:
-            sample.roles[d.name] = role
-            dump = d.admin_command("telemetry.dump")
-            sample.dumps[d.name] = dump
-            sample.series_of(d.name).observe_dump(sample.time, dump)
-    best_osd, best_mds = None, None
-    for mon in cluster.mons:
-        osdmap = mon.store.osdmap
-        mdsmap = mon.store.mdsmap
-        if best_osd is None or osdmap.epoch > best_osd.epoch:
-            best_osd = osdmap
-        if best_mds is None or mdsmap.epoch > best_mds.epoch:
-            best_mds = mdsmap
-    sample.osdmap = best_osd
-    sample.mdsmap = best_mds
-    engine = cluster.sim.chaos
-    if engine is not None:
-        sample.chaos = engine.status()
-    sample.netstats = cluster.net.stats()
+    sample = ClusterSample(time=cluster.sim.now, roles=cluster.roles())
+    daemons = {d.name: d for d in cluster.daemons()}
+    for name in sorted(sample.roles):
+        daemon = daemons[name]
+        if daemon.alive:
+            sample.record_dump(
+                name, daemon.admin_command("telemetry.dump"), sample.time)
+        else:
+            sample.record_failure(name, DaemonDown(f"{name} is down"))
+    newest = attrgetter("epoch")
+    sample.record_cluster(
+        cluster.sim, cluster.net,
+        max((m.store.osdmap for m in cluster.mons), key=newest),
+        max((m.store.mdsmap for m in cluster.mons), key=newest))
     return sample

@@ -133,6 +133,21 @@ def test_mid_scrape_crash_does_not_kill_the_scrape_loop():
         == "HEALTH_WARN"
 
 
+def test_out_of_band_health_reports_a_crashed_daemon():
+    # No mgr: cluster.health() samples every daemon over the admin
+    # socket.  A dead daemon is a failed scrape, not a dump of its
+    # wiped counters.
+    c = MalacologyCluster.build(osds=3, mdss=2, mons=3, seed=3)
+    assert c.health()["status"] == "HEALTH_OK"
+    c.mdss[1].crash()
+    report = c.health()
+    assert report["status"] == "HEALTH_WARN"
+    unreachable = report["checks"]["DAEMON_UNREACHABLE"]
+    assert unreachable["detail"]["daemons"] == {
+        "mds1": "EHOSTDOWN: mds1 is down"}
+    assert "mds1" in unreachable["summary"]
+
+
 # ----------------------------------------------------------------------
 # Mantle audit trail
 # ----------------------------------------------------------------------

@@ -14,17 +14,8 @@ from repro.mgr.health import (
     HEALTH_ERR,
     HEALTH_OK,
     HEALTH_WARN,
-    CapRevokeStuckCheck,
-    ChaosNemesisCheck,
     ClusterSample,
-    DaemonUnreachableCheck,
     HealthReport,
-    MdsLatencyRegressionCheck,
-    OsdDownCheck,
-    PaxosStallCheck,
-    SequencerChurnCheck,
-    SubtreeImbalanceCheck,
-    default_checks,
     evaluate_health,
     worst_status,
 )
@@ -116,6 +107,11 @@ def _sample(**kwargs):
     return ClusterSample(time=kwargs.pop("time", 100.0), **kwargs)
 
 
+def _check(name, sample):
+    """The check table's result named ``name`` on ``sample``."""
+    return evaluate_health(sample).check(name)
+
+
 def test_worst_status_ladder():
     assert worst_status([]) == HEALTH_OK
     assert worst_status([HEALTH_OK, HEALTH_WARN]) == HEALTH_WARN
@@ -126,21 +122,21 @@ def test_worst_status_ladder():
 def test_osd_down_check_names_the_osd():
     osdmap = SimpleNamespace(
         epoch=9, osds={"osd0": "up", "osd1": "down", "osd2": "up"})
-    res = OsdDownCheck().evaluate(_sample(osdmap=osdmap))
+    res = _check("OSD_DOWN", _sample(osdmap=osdmap))
     assert res.status == HEALTH_WARN
     assert "osd1" in res.summary
     assert res.detail["osds"] == ["osd1"]
     healthy = SimpleNamespace(epoch=9, osds={"osd0": "up"})
-    assert OsdDownCheck().evaluate(_sample(osdmap=healthy)) is None
-    assert OsdDownCheck().evaluate(_sample()) is None  # no map yet
+    assert _check("OSD_DOWN", _sample(osdmap=healthy)) is None
+    assert _check("OSD_DOWN", _sample()) is None  # no map yet
 
 
 def test_daemon_unreachable_check():
-    res = DaemonUnreachableCheck().evaluate(
-        _sample(failed={"osd2": "EHOSTDOWN: daemon osd2 is down"}))
+    res = _check("DAEMON_UNREACHABLE", _sample(
+        failed={"osd2": "EHOSTDOWN: daemon osd2 is down"}))
     assert res.status == HEALTH_WARN
     assert "osd2" in res.summary
-    assert DaemonUnreachableCheck().evaluate(_sample()) is None
+    assert _check("DAEMON_UNREACHABLE", _sample()) is None
 
 
 def test_paxos_stall_check_requires_frozen_commits():
@@ -149,7 +145,7 @@ def test_paxos_stall_check_requires_frozen_commits():
     for t in range(90, 101):
         series.series("gauge:paxos.pending_txns").record(float(t), 2.0)
         series.series("counter:paxos.commit").record(float(t), 50.0)
-    res = PaxosStallCheck(window=10.0).evaluate(sample)
+    res = _check("PAXOS_STALL", sample)
     assert res is not None and res.status == HEALTH_ERR
     assert "mon0" in res.detail["monitors"]
 
@@ -159,7 +155,7 @@ def test_paxos_stall_check_requires_frozen_commits():
     for i, t in enumerate(range(90, 101)):
         s2.series("gauge:paxos.pending_txns").record(float(t), 2.0)
         s2.series("counter:paxos.commit").record(float(t), 50.0 + i)
-    assert PaxosStallCheck(window=10.0).evaluate(live) is None
+    assert _check("PAXOS_STALL", live) is None
 
 
 def test_mds_latency_regression_check():
@@ -172,8 +168,7 @@ def test_mds_latency_regression_check():
     for t in range(90, 101):
         s.series("latency:rpc.mds_req:mean").record(float(t), 0.010)
         s.series("latency:rpc.mds_req:count").record(float(t), t * 10.0)
-    res = MdsLatencyRegressionCheck(factor=3.0,
-                                    recent=10.0).evaluate(sample)
+    res = _check("MDS_LATENCY_REGRESSION", sample)
     assert res is not None and res.status == HEALTH_WARN
     assert "mds0" in res.detail["mds"]
 
@@ -184,7 +179,7 @@ def test_mds_latency_regression_check():
         q.series("latency:rpc.mds_req:mean").record(
             float(t), 0.001 if t < 90 else 0.010)
         q.series("latency:rpc.mds_req:count").record(float(t), 100.0)
-    assert MdsLatencyRegressionCheck().evaluate(quiet) is None
+    assert _check("MDS_LATENCY_REGRESSION", quiet) is None
 
 
 def test_cap_revoke_stuck_check():
@@ -192,14 +187,14 @@ def test_cap_revoke_stuck_check():
     s = sample.series_of("mds0")
     for t in range(92, 101, 2):
         s.series("gauge:caps.revoking").record(float(t), 1.0)
-    res = CapRevokeStuckCheck(stuck_for=6.0).evaluate(sample)
+    res = _check("CAP_REVOKE_STUCK", sample)
     assert res is not None and res.status == HEALTH_WARN
     # A revoke that completed inside the window clears the check.
     ok = _sample(roles={"mds0": "mds"})
     s2 = ok.series_of("mds0")
     for t, v in [(92, 1.0), (94, 1.0), (96, 0.0), (98, 1.0), (100, 1.0)]:
         s2.series("gauge:caps.revoking").record(float(t), v)
-    assert CapRevokeStuckCheck(stuck_for=6.0).evaluate(ok) is None
+    assert _check("CAP_REVOKE_STUCK", ok) is None
 
 
 def test_sequencer_churn_check():
@@ -209,7 +204,7 @@ def test_sequencer_churn_check():
         for t in range(90, 101):
             s.series("counter:objclass.zlog.seal").record(
                 float(t), float(t))  # 1 seal/s each
-    res = SequencerChurnCheck(max_rate=1.0).evaluate(sample)
+    res = _check("ZLOG_EPOCH_CHURN", sample)
     assert res is not None and res.status == HEALTH_WARN
     assert res.detail["seal_rate"] == pytest.approx(2.0)
 
@@ -219,7 +214,7 @@ def test_subtree_imbalance_check():
         roles={"mds0": "mds", "mds1": "mds"},
         dumps={"mds0": {"gauges": {"mds.load": 400.0}},
                "mds1": {"gauges": {"mds.load": 10.0}}})
-    res = SubtreeImbalanceCheck(ratio=4.0, min_load=50.0).evaluate(sample)
+    res = _check("MDS_IMBALANCE", sample)
     assert res is not None and res.status == HEALTH_WARN
     assert res.detail["loads"]["mds0"] == 400.0
     # Low absolute load never alarms, however skewed.
@@ -227,8 +222,7 @@ def test_subtree_imbalance_check():
         roles={"mds0": "mds", "mds1": "mds"},
         dumps={"mds0": {"gauges": {"mds.load": 40.0}},
                "mds1": {"gauges": {"mds.load": 1.0}}})
-    assert SubtreeImbalanceCheck(ratio=4.0,
-                                 min_load=50.0).evaluate(tiny) is None
+    assert _check("MDS_IMBALANCE", tiny) is None
 
 
 def test_chaos_nemesis_check_fires_only_for_ops_it_can_inject():
@@ -236,21 +230,21 @@ def test_chaos_nemesis_check_fires_only_for_ops_it_can_inject():
         return _sample(chaos={"armed": armed, "schedule": "s", "ops": ops,
                               "injector_faults": 0, "store_faults": 0})
 
-    res = ChaosNemesisCheck().evaluate(chaos(armed=True, ops=3))
+    res = _check("CHAOS_NEMESIS_ACTIVE", chaos(armed=True, ops=3))
     assert res is not None and res.status == HEALTH_WARN
     assert "3 ops" in res.summary
     # An empty schedule injects nothing; a disarmed one is over.
-    assert ChaosNemesisCheck().evaluate(chaos(armed=True, ops=0)) is None
-    assert ChaosNemesisCheck().evaluate(chaos(armed=False, ops=3)) is None
-    assert ChaosNemesisCheck().evaluate(_sample()) is None
+    assert _check("CHAOS_NEMESIS_ACTIVE", chaos(armed=True, ops=0)) is None
+    assert _check("CHAOS_NEMESIS_ACTIVE", chaos(armed=False, ops=3)) is None
+    assert _check("CHAOS_NEMESIS_ACTIVE", _sample()) is None
 
 
 def test_evaluate_health_aggregates_worst():
     sample = _sample(failed={"osd0": "EHOSTDOWN: down"})
-    report = evaluate_health(default_checks(), sample)
+    report = evaluate_health(sample)
     assert report.status == HEALTH_WARN
     assert report.check("DAEMON_UNREACHABLE") is not None
-    clean = evaluate_health(default_checks(), _sample())
+    clean = evaluate_health(_sample())
     assert clean.status == HEALTH_OK and clean.results == []
     assert HealthReport(0.0, []).to_dict()["checks"] == {}
 
